@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .designs import (AllDerivativesVanish, BoundaryPoint, DesignProblem,
@@ -32,6 +33,13 @@ class _DataError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's default matcher misses exponents, so it would read
+        # `--z -5e-05` as an option; subparsers are built from this class.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -63,9 +71,17 @@ def _emit(command: str, inputs: dict, result, warnings: list[str]) -> None:
 def _problem(args) -> DesignProblem:
     if args.n < 1:
         raise _UsageExit("--n must be >= 1")
-    if not args.a > 0:
-        raise _UsageExit("--a must be > 0")
+    if not (math.isfinite(args.a) and args.a > 0):
+        raise _UsageExit("--a must be finite and > 0")
     return DesignProblem(args.n, args.a)
+
+
+def _check_grid_and_targets(args, min_grid: int) -> None:
+    if args.grid < min_grid:
+        raise _UsageExit(f"--grid must be >= {min_grid}")
+    zs = [args.z] if getattr(args, "z_list", None) is None else args.z_list
+    if not all(math.isfinite(z) for z in zs):
+        raise _UsageExit("target points must be finite")
 
 
 class _UsageExit(Exception):
@@ -97,6 +113,7 @@ def _design_payload(problem, z, args, warnings):
 
 def _cmd_design(args) -> int:
     problem = _problem(args)
+    _check_grid_and_targets(args, 2)
     warnings: list[str] = []
     if args.z_list is not None:
         zs = args.z_list
@@ -150,6 +167,7 @@ def _load_design_file(path: str) -> tuple[list, list]:
 
 def _cmd_check(args) -> int:
     problem = _problem(args)
+    _check_grid_and_targets(args, 2)
     warnings: list[str] = []
     points, weights = _load_design_file(args.design)
     try:
@@ -185,6 +203,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_oracle(args) -> int:
     problem = _problem(args)
+    _check_grid_and_targets(args, args.n + 1)
     report = compare(problem, args.z, GridSpec(args.grid))
     _emit("oracle", {"n": args.n, "a": args.a, "z": args.z,
                      "grid": args.grid}, report.as_dict(), [])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,6 +149,25 @@ def extremal_value(problem: DesignProblem, x: float) -> float:
     return val if u > 1.0 else (val if n % 2 == 0 else -val)
 
 
+@lru_cache(maxsize=256)
+def _extremal_cached(problem: DesignProblem, grid_points: int,
+                     tol_root: float) -> tuple[tuple[float, ...], float]:
+    # Everything in certify that does not depend on z or on the design: the
+    # coefficients of x^1..x^n of the extremal polynomial and the condition-1
+    # margin over the grid augmented with its critical points.
+    n, a = problem.n, problem.a
+    s_poly = extremal_polynomial(problem)
+    const = s_poly.coeffs[0]
+    if abs(const) > 1e-10:
+        raise ArithmeticError(
+            f"extremal polynomial constant term {const!r} exceeds 1e-10")
+    xs = [a * k / (grid_points - 1) for k in range(grid_points)]
+    if n >= 2:
+        xs.extend(real_roots(s_poly.derivative(), 0.0, a, tol_root))
+    cond1 = max(abs(extremal_value(problem, x)) for x in xs) - 1.0
+    return s_poly.coeffs[1:n + 1], cond1
+
+
 def certify(problem: DesignProblem, z: float, design: Design,
             grid_points: int = 2001, tol: float = 1e-8,
             tol_root: float = 1e-12,
@@ -157,11 +177,16 @@ def certify(problem: DesignProblem, z: float, design: Design,
     h is (-1)^(n+j) * sum_i |L_i'(z)| for the interval index j containing z
     (recomputed here, never trusted from the caller); the reported pair is
     normalized to h > 0 by flipping the polynomial's sign.  Condition (1) is
-    checked on a uniform grid over [0, a] augmented with the exact critical
-    points of the extremal polynomial, which pins the sup-norm up to
-    root-finding tolerance.
+    checked on a uniform grid of ``grid_points >= 2`` points over [0, a]
+    augmented with the exact critical points of the extremal polynomial,
+    which pins the sup-norm up to root-finding tolerance.  Neither the
+    extremal polynomial nor this condition-1 margin depends on z or on the
+    design, so both are computed once per (problem, grid_points, tol_root)
+    and cached; conditions (2) and (3) are evaluated on every call.
     """
-    n, a = problem.n, problem.a
+    if grid_points < 2:
+        raise ValueError("grid_points must be >= 2")
+    n = problem.n
     region = admissible_region(problem, tol_root)
     kind, j = region.locate(z, boundary_tol)
     if kind != "inside":
@@ -172,17 +197,8 @@ def certify(problem: DesignProblem, z: float, design: Design,
     sign = 1.0 if h_signed > 0 else -1.0
     h = abs(h_signed)
 
-    s_poly = extremal_polynomial(problem)
-    const = s_poly.coeffs[0]
-    if abs(const) > 1e-10:
-        raise ArithmeticError(
-            f"extremal polynomial constant term {const!r} exceeds 1e-10")
-    p = tuple(sign * c for c in s_poly.coeffs[1:n + 1])
-
-    xs = [a * k / (grid_points - 1) for k in range(grid_points)]
-    if n >= 2:
-        xs.extend(real_roots(s_poly.derivative(), 0.0, a, tol_root))
-    cond1 = max(abs(extremal_value(problem, x)) for x in xs) - 1.0
+    coeffs, cond1 = _extremal_cached(problem, grid_points, float(tol_root))
+    p = tuple(sign * c for c in coeffs)
 
     vals = [sign * extremal_value(problem, x) for x in design.points]
     cond2 = tuple(abs(abs(v) - 1.0) for v in vals)

@@ -5,6 +5,7 @@ import pytest
 
 from slopedesign.cli import main
 
+SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
 
 
@@ -57,6 +58,28 @@ class TestDesignCommand:
         _, out1, _ = run(capsys, "design", "--n", "4", "--a", "1", "--z", "0.95")
         _, out2, _ = run(capsys, "design", "--n", "4", "--a", "1", "--z", "0.95")
         assert out1 == out2
+
+    def test_z_list_entries_match_single_targets(self, capsys):
+        zs = ["-0.5", "0.25", "0.95"]
+        _, doc, _ = run_json(capsys, "design", "--n", "4", "--a", "1",
+                             "--z-list", *zs)
+        for z, entry in zip(zs, doc["result"]):
+            _, single, _ = run_json(capsys, "design", "--n", "4", "--a", "1",
+                                    "--z", z)
+            assert entry == {**single["result"], "z": float(z)}
+
+    def test_negative_target_with_exponent(self, capsys):
+        code, doc, _ = run_json(capsys, "design", "--n", "4", "--a", "1",
+                                "--z", "-5e-05")
+        assert code == 0
+        assert doc["inputs"]["z"] == -5e-05
+        assert doc["result"]["certificate"]["verdict"] == "verified"
+        code, doc, _ = run_json(capsys, "design", "--n", "4", "--a", "1",
+                                "--z-list", "-5e-05", "0.95")
+        assert code == 0
+        assert [e["z"] for e in doc["result"]] == [-5e-05, 0.95]
+        assert all(e["certificate"]["verdict"] == "verified"
+                   for e in doc["result"])
 
 
 class TestRegionCommand:
@@ -247,3 +270,47 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["design", "--n", "2", "--a", "1"])
         assert err.value.code == 64
+
+    @pytest.mark.parametrize("n, grid", [(4, "0"), (4, "1"), (1, "0")])
+    def test_design_grid_below_two(self, capsys, n, grid):
+        code, out, err = run(capsys, "design", "--n", str(n), "--a", "1",
+                             "--z", "0.95", "--grid", grid)
+        assert code == 64
+        assert out == ""
+        assert "--grid" in err
+
+    def test_check_grid_below_two(self, capsys, tmp_path):
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps({"points": [SQRT2 - 1, 1.0],
+                                 "weights": [0.5, 0.5]}), encoding="utf-8")
+        code, out, err = run(capsys, "check", "--n", "2", "--a", "1",
+                             "--z", "1", "--design", str(f), "--grid", "1")
+        assert code == 64
+        assert out == ""
+        assert "--grid" in err
+
+    def test_oracle_grid_below_n_plus_one(self, capsys):
+        code, out, err = run(capsys, "oracle", "--n", "4", "--a", "1",
+                             "--z", "0.5", "--grid", "3")
+        assert code == 64
+        assert out == ""
+        assert "--grid must be >= 5" in err
+        code, _, _ = run(capsys, "oracle", "--n", "4", "--a", "1",
+                         "--z", "0.5", "--grid", "5")
+        assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--n", "4", "--a", "1", "--z", "nan"],
+        ["design", "--n", "4", "--a", "1", "--z", "inf"],
+        ["design", "--n", "4", "--a", "1", "--z-list", "0.9", "nan"],
+        ["design", "--n", "4", "--a", "inf", "--z", "0.9"],
+        ["region", "--n", "4", "--a", "inf"],
+        ["oracle", "--n", "4", "--a", "1", "--z", "nan"],
+        ["oracle", "--n", "4", "--a", "nan", "--z", "0.5"],
+        ["check", "--n", "2", "--a", "1", "--z", "nan", "--design", "d.json"],
+    ])
+    def test_non_finite_inputs(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert "finite" in err

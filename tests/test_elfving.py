@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from slopedesign.designs import Design, DesignProblem, optimal_design, support_points, weight_functions
-from slopedesign.elfving import (ElfvingCertificate, ZOutsideRegion, certify,
+from slopedesign.elfving import (ElfvingCertificate, ZOutsideRegion,
+                                 _extremal_cached, certify,
                                  extremal_polynomial, extremal_value,
                                  info_matrix, monomial_features, slope_vector,
                                  variance)
@@ -187,3 +188,53 @@ class TestCertify:
         assert set(doc) == {"p", "h", "margins", "verdict"}
         assert set(doc["margins"]) == {"condition1", "condition2", "condition3"}
         assert isinstance(cert, ElfvingCertificate)
+
+    def test_grid_below_two_rejected(self):
+        pr = DesignProblem(3, 1.0)
+        d = optimal_design(pr, 1.0)
+        for m in (0, 1):
+            with pytest.raises(ValueError, match="grid_points"):
+                certify(pr, 1.0, d, grid_points=m)
+
+
+class TestCertifyCache:
+    """The z-independent part of certify is computed once per
+    (problem, grid_points, tol_root)."""
+
+    PROBLEM = DesignProblem(4, 1.0)
+    TARGETS = (-0.5, 0.03, 0.25, 0.3, 0.68, 0.95, 1.4)
+
+    def _batch(self, clear_each: bool):
+        certs = []
+        for z in self.TARGETS:
+            if clear_each:
+                _extremal_cached.cache_clear()
+            certs.append(certify(self.PROBLEM, z,
+                                 optimal_design(self.PROBLEM, z)))
+        return certs
+
+    def test_cold_and_warm_certificates_identical(self):
+        cold = self._batch(clear_each=True)
+        warm = self._batch(clear_each=False)
+        assert cold == warm
+        assert all(c.verifies for c in warm)
+
+    def test_one_miss_per_batch(self):
+        _extremal_cached.cache_clear()
+        self._batch(clear_each=False)
+        info = _extremal_cached.cache_info()
+        assert info.misses == 1
+        assert info.hits == len(self.TARGETS) - 1
+
+    def test_grid_and_root_tolerance_keyed_separately(self):
+        _extremal_cached.cache_clear()
+        z = 0.95
+        d = optimal_design(self.PROBLEM, z)
+        base = certify(self.PROBLEM, z, d)
+        coarse = certify(self.PROBLEM, z, d, grid_points=11)
+        loose = certify(self.PROBLEM, z, d, tol_root=1e-9)
+        assert _extremal_cached.cache_info().misses == 3
+        assert _extremal_cached.cache_info().currsize == 3
+        assert base.p == coarse.p == loose.p
+        certify(self.PROBLEM, z, d, grid_points=11)
+        assert _extremal_cached.cache_info().misses == 3
