@@ -15,8 +15,8 @@ import re
 import sys
 
 from .designs import (AllDerivativesVanish, BoundaryPoint, DesignProblem,
-                      Design, NotCovered, admissible_region, optimal_design,
-                      weight_functions)
+                      Design, NotCovered, admissible_region,
+                      basis_derivatives, optimal_design)
 from .elfving import ZOutsideRegion, certify, extremal_value, slope_vector, variance
 from .oracle import GridSpec, Infeasible, NumericalFailure, compare
 from .polynomial import Degenerate
@@ -73,6 +73,11 @@ def _problem(args) -> DesignProblem:
         raise _UsageExit("--n must be >= 1")
     if not (math.isfinite(args.a) and args.a > 0):
         raise _UsageExit("--a must be finite and > 0")
+    for flag in ("tol_root", "tol_cert"):
+        tol = getattr(args, flag, None)
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise _UsageExit(f"--{flag.replace('_', '-')} must be finite "
+                             "and > 0")
     return DesignProblem(args.n, args.a)
 
 
@@ -222,7 +227,6 @@ def _cmd_plotdata(args) -> int:
             x = problem.a * k / (m - 1)
             out.write(f"{x:.17g},{extremal_value(problem, x):.17g}\n")
         return EXIT_OK
-    wfs = weight_functions(problem)
     region = admissible_region(problem, 1e-12)
     roots = [r for rs in region.boundary_roots for r in rs]
     if roots:
@@ -234,7 +238,7 @@ def _cmd_plotdata(args) -> int:
     out.write("z," + ",".join(f"L{i}p" for i in range(1, problem.n + 1)) + "\n")
     for k in range(m):
         z = lo + (hi - lo) * k / (m - 1)
-        row = ",".join(f"{w(z):.17g}" for w in wfs)
+        row = ",".join(f"{v:.17g}" for v in basis_derivatives(problem, z))
         out.write(f"{z:.17g},{row}\n")
     return EXIT_OK
 
@@ -245,8 +249,11 @@ def _add_common(p, with_z=True, with_tols=True):
     if with_z:
         p.add_argument("--z", type=float, help="target point for the slope")
     if with_tols:
-        p.add_argument("--tol-root", dest="tol_root", type=float, default=1e-12)
-        p.add_argument("--tol-cert", dest="tol_cert", type=float, default=1e-8)
+        p.add_argument("--tol-root", dest="tol_root", type=float, default=1e-12,
+                       help="absolute tolerance of the region's boundary "
+                            "roots (finite, > 0)")
+        p.add_argument("--tol-cert", dest="tol_cert", type=float, default=1e-8,
+                       help="certificate margin tolerance (finite, > 0)")
         p.add_argument("--grid", type=int, default=2001,
                        help="grid points for certificate / oracle checks")
 

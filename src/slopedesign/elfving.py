@@ -16,8 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .designs import Design, DesignProblem, admissible_region, weight_functions
-from .polynomial import Poly, chebyshev_T, real_roots
+from .designs import (Design, DesignProblem, admissible_region,
+                      basis_derivatives, support_points)
+from .polynomial import Poly, chebyshev_T
 
 
 class ZOutsideRegion(Exception):
@@ -154,7 +155,9 @@ def _extremal_cached(problem: DesignProblem, grid_points: int,
                      tol_root: float) -> tuple[tuple[float, ...], float]:
     # Everything in certify that does not depend on z or on the design: the
     # coefficients of x^1..x^n of the extremal polynomial and the condition-1
-    # margin over the grid augmented with its critical points.
+    # margin over the grid augmented with its critical points, which are the
+    # interior extremal points: every support point but a.  tol_root only
+    # keys the cache.
     n, a = problem.n, problem.a
     s_poly = extremal_polynomial(problem)
     const = s_poly.coeffs[0]
@@ -162,8 +165,7 @@ def _extremal_cached(problem: DesignProblem, grid_points: int,
         raise ArithmeticError(
             f"extremal polynomial constant term {const!r} exceeds 1e-10")
     xs = [a * k / (grid_points - 1) for k in range(grid_points)]
-    if n >= 2:
-        xs.extend(real_roots(s_poly.derivative(), 0.0, a, tol_root))
+    xs.extend(support_points(problem)[:-1])
     cond1 = max(abs(extremal_value(problem, x)) for x in xs) - 1.0
     return s_poly.coeffs[1:n + 1], cond1
 
@@ -178,8 +180,8 @@ def certify(problem: DesignProblem, z: float, design: Design,
     (recomputed here, never trusted from the caller); the reported pair is
     normalized to h > 0 by flipping the polynomial's sign.  Condition (1) is
     checked on a uniform grid of ``grid_points >= 2`` points over [0, a]
-    augmented with the exact critical points of the extremal polynomial,
-    which pins the sup-norm up to root-finding tolerance.  Neither the
+    augmented with the critical points of the extremal polynomial (the
+    support points inside (0, a)), which pins the sup-norm.  Neither the
     extremal polynomial nor this condition-1 margin depends on z or on the
     design, so both are computed once per (problem, grid_points, tol_root)
     and cached; conditions (2) and (3) are evaluated on every call.
@@ -192,7 +194,7 @@ def certify(problem: DesignProblem, z: float, design: Design,
     if kind != "inside":
         raise ZOutsideRegion(z, region)
 
-    abs_sum = math.fsum(abs(w(z)) for w in weight_functions(problem))
+    abs_sum = math.fsum(abs(v) for v in basis_derivatives(problem, z))
     h_signed = (-1.0) ** (n + j) * abs_sum
     sign = 1.0 if h_signed > 0 else -1.0
     h = abs(h_signed)

@@ -1,13 +1,9 @@
-"""Dense univariate real polynomials with certified real-root isolation.
+"""Dense univariate real polynomials.
 
 Coefficients are stored in ascending powers: ``coeffs[k]`` multiplies ``x**k``.
 Evaluation uses a compensated Horner scheme, so values are accurate to a few
 ulps even for ill-conditioned monomial expansions (rescaled Chebyshev
 polynomials reach condition numbers near 1e7 by degree 10).
-
-Root isolation follows the classic Sturm route: build the Sturm chain of the
-square-free part, count sign variations to isolate, then bisect each isolating
-interval down to the requested argument tolerance.
 """
 
 from __future__ import annotations
@@ -18,12 +14,9 @@ from fractions import Fraction
 from typing import Sequence
 
 
-class ZeroPolynomial(ValueError):
-    """Root isolation was asked for the zero polynomial."""
-
-
 class Degenerate(RuntimeError):
-    """Root isolation could not certify separation of roots."""
+    """A root computation failed: an admissible interval came out empty or
+    overlapping, or a root solver did not converge."""
 
 
 _SPLIT_FACTOR = 134217729.0  # 2**27 + 1, Dekker splitting constant
@@ -128,32 +121,11 @@ class Poly:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class RootList:
-    """Strictly increasing real roots, each bracketed to width <= tol."""
-
-    roots: tuple[float, ...]
-    tol: float
-
-    def __init__(self, roots: Sequence[float], tol: float):
-        rs = tuple(float(r) for r in roots)
-        if any(b <= a for a, b in zip(rs, rs[1:])):
-            raise ValueError("roots must be strictly increasing")
-        object.__setattr__(self, "roots", rs)
-        object.__setattr__(self, "tol", float(tol))
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def __iter__(self):
-        return iter(self.roots)
-
-
 def chebyshev_T(n: int) -> Poly:
     """Chebyshev polynomial of the first kind via the three-term recurrence."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    # Integer arithmetic keeps coefficients exact (|c| < 2**53 for n <= 20).
+    # Integer arithmetic keeps coefficients exact (|c| < 2**53 for n <= 44).
     t_prev, t_cur = [1], [0, 1]
     if n == 0:
         return Poly((1.0,))
@@ -163,200 +135,3 @@ def chebyshev_T(n: int) -> Poly:
             nxt[k] -= c
         t_prev, t_cur = t_cur, nxt
     return Poly(tuple(float(c) for c in t_cur))
-
-
-# --- Sturm machinery (module-private, plain coefficient lists) --------------
-
-
-def _trimmed(cs: Sequence[float], drop: float = 0.0) -> list[float]:
-    out = list(cs)
-    while out and abs(out[-1]) <= drop:
-        out.pop()
-    return out
-
-
-def _normalized(cs: Sequence[float]) -> list[float]:
-    m = max(abs(c) for c in cs)
-    return [c / m for c in cs]
-
-
-def _deriv_list(cs: Sequence[float]) -> list[float]:
-    return [k * c for k, c in enumerate(cs)][1:]
-
-
-def _rem_list(num: Sequence[float], den: Sequence[float]) -> list[float]:
-    r = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    while len(r) - 1 >= dd and r:
-        f = r[-1] / lead
-        shift = len(r) - 1 - dd
-        for k in range(dd):
-            r[shift + k] -= f * den[k]
-        r.pop()
-    return r
-
-
-def _quot_list(num: Sequence[float], den: Sequence[float]) -> list[float]:
-    r = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    q = [0.0] * (len(r) - dd)
-    while len(r) - 1 >= dd and r:
-        f = r[-1] / lead
-        shift = len(r) - 1 - dd
-        q[shift] = f
-        for k in range(dd):
-            r[shift + k] -= f * den[k]
-        r.pop()
-    return q
-
-
-def _squarefree(cs: Sequence[float]) -> list[float]:
-    """Divide out gcd(p, p') so multiple roots are reported once."""
-    p = _normalized(_trimmed(cs))
-    if len(p) <= 2:
-        return p
-    a, b = p, _normalized(_deriv_list(p))
-    g = None
-    while len(b) >= 2:
-        r = _trimmed(_rem_list(a, b), 1e-10)
-        if not r:
-            g = b
-            break
-        a, b = b, _normalized(r)
-    if g is None or len(g) < 2:
-        return p
-    q = _trimmed(_quot_list(p, g), 1e-12)
-    # Guard against a spurious gcd: the division must be near-exact.
-    check = _trimmed(_rem_list(p, q), 0.0)
-    if check and max(abs(c) for c in check) > 1e-8:
-        return p
-    return _normalized(q)
-
-
-def _sturm_chain(sf: Sequence[float]) -> list[list[float]]:
-    chain = [list(sf)]
-    if len(sf) >= 2:
-        chain.append(_normalized(_deriv_list(sf)))
-    while len(chain[-1]) >= 2:
-        r = _trimmed(_rem_list(chain[-2], chain[-1]), 0.0)
-        if not r:
-            break
-        chain.append(_normalized([-c for c in r]))
-    return chain
-
-
-def _horner_plain(cs: Sequence[float], x: float) -> float:
-    s = 0.0
-    for c in reversed(cs):
-        s = s * x + c
-    return s
-
-
-def _variations(chain: Sequence[Sequence[float]], x: float) -> int:
-    prev = 0
-    count = 0
-    for cs in chain:
-        v = _horner_plain(cs, x)
-        s = 0 if v == 0.0 else (1 if v > 0.0 else -1)
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
-def _refine(sf: Sequence[float], chain, x1: float, x2: float, v1: int, v2: int,
-            tol: float) -> float:
-    f1 = _horner_plain(sf, x1)
-    f2 = _horner_plain(sf, x2)
-    if f1 == 0.0:
-        return x1
-    if f2 == 0.0:
-        return x2
-    if (f1 > 0) != (f2 > 0):
-        # Simple root: plain sign bisection.
-        pos_left = f1 > 0
-        while x2 - x1 > tol:
-            mid = 0.5 * (x1 + x2)
-            if mid <= x1 or mid >= x2:
-                break
-            fm = _horner_plain(sf, mid)
-            if fm == 0.0:
-                return mid
-            if (fm > 0) == pos_left:
-                x1 = mid
-            else:
-                x2 = mid
-        return 0.5 * (x1 + x2)
-    # No sign change visible (should not happen for a square-free isolation);
-    # fall back to variation-count bisection.
-    while x2 - x1 > tol:
-        mid = 0.5 * (x1 + x2)
-        if mid <= x1 or mid >= x2:
-            break
-        vm = _variations(chain, mid)
-        if v1 - vm == 1:
-            x2, v2 = mid, vm
-        elif vm - v2 == 1:
-            x1, v1 = mid, vm
-        else:
-            break
-    return 0.5 * (x1 + x2)
-
-
-def real_roots(p: Poly, lo: float, hi: float, tol: float = 1e-12) -> RootList:
-    """All real roots of ``p`` in the open interval ``(lo, hi)``.
-
-    Sturm sign counting isolates the roots (multiple roots collapse to one via
-    square-free reduction), bisection refines each to absolute argument
-    tolerance ``tol``.  Raises :class:`ZeroPolynomial` for the zero polynomial
-    and :class:`Degenerate` when separation cannot be certified.
-    """
-    lo = float(lo)
-    hi = float(hi)
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    d = p.degree
-    if d is None:
-        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    if d == 0:
-        return RootList((), tol)
-    if d > 20:
-        raise ValueError("root isolation supports degree <= 20")
-
-    sf = _squarefree(p.coeffs[: d + 1])
-    chain = _sturm_chain(sf)
-    v_lo = _variations(chain, lo)
-    v_hi = _variations(chain, hi)
-
-    roots: list[float] = []
-    stack = [(lo, v_lo, hi, v_hi)]
-    while stack:
-        x1, v1, x2, v2 = stack.pop()
-        k = v1 - v2
-        if k <= 0:
-            continue
-        if k == 1:
-            roots.append(_refine(sf, chain, x1, x2, v1, v2, tol))
-            continue
-        if x2 - x1 < max(tol, 1e-13 * max(1.0, abs(x1), abs(x2))):
-            raise Degenerate(
-                f"{k} roots inseparable near [{x1!r}, {x2!r}]")
-        mid = 0.5 * (x1 + x2)
-        if mid <= x1 or mid >= x2:
-            raise Degenerate(
-                f"{k} roots inseparable near [{x1!r}, {x2!r}]")
-        vm = _variations(chain, mid)
-        stack.append((x1, v1, mid, vm))
-        stack.append((mid, vm, x2, v2))
-
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or r - merged[-1] > tol:
-            merged.append(r)
-        # else: duplicate isolation of the same root at counting noise level
-    return RootList(tuple(r for r in merged if lo < r < hi), tol)

@@ -13,7 +13,6 @@ from slopedesign.designs import (DesignProblem, admissible_region,
 from slopedesign.elfving import certify, slope_vector, variance
 from slopedesign.oracle import (GridSpec, compare, lp_c_optimal,
                                 restricted_weights)
-from slopedesign.polynomial import real_roots
 
 SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
@@ -84,8 +83,9 @@ def test_criterion_1_quadratic_exact_values():
         assert abs(got - want) <= 1e-12
     for got, want in zip(w2.coeffs, expect_w2):
         assert abs(got - want) <= 1e-12
-    roots = real_roots(w1, -10.0, 10.0)
-    assert len(roots) == 1 and abs(roots.roots[0] - 0.5) <= 1e-12
+    roots = admissible_region(problem).boundary_roots[0]
+    assert len(roots) == 1 and abs(roots[0] - 0.5) <= 1e-12
+    assert abs(w1(roots[0])) <= 1e-12
     _report(1, time.perf_counter() - t0, 0.1,
             "n=2 support, basis derivatives and root exact to 1e-12")
 
@@ -93,7 +93,7 @@ def test_criterion_1_quadratic_exact_values():
 def test_criterion_2_boundary_root_vs_lp_transition():
     t0 = time.perf_counter()
     problem = DesignProblem(2, 1.0)
-    library_root = real_roots(weight_functions(problem)[1], -10.0, 10.0).roots[0]
+    library_root = admissible_region(problem).boundary_roots[1][0]
     sup = support_points(problem)
 
     def support_is_optimal(z):

@@ -314,3 +314,55 @@ class TestUsageErrors:
         assert code == 64
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("flag", ["--tol-cert", "--tol-root"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, flag, value):
+        code, out, err = run(capsys, "design", "--n", "4", "--a", "1",
+                             "--z", "0.95", flag, value)
+        assert code == 64
+        assert out == ""
+        assert f"{flag} must be finite and > 0" in err
+
+    def test_region_and_check_tolerances(self, capsys, tmp_path):
+        code, out, err = run(capsys, "region", "--n", "4", "--a", "1",
+                             "--tol-root", "0")
+        assert (code, out) == (64, "")
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps({"points": [SQRT2 - 1, 1.0],
+                                 "weights": [0.5, 0.5]}), encoding="utf-8")
+        code, out, err = run(capsys, "check", "--n", "2", "--a", "1",
+                             "--z", "1", "--design", str(f),
+                             "--tol-cert", "-1")
+        assert (code, out) == (64, "")
+
+
+class TestLargeDegree:
+    """Every n is accepted: no degree cap, one JSON document, exit 0 or 2."""
+
+    @pytest.mark.parametrize("n", [21, 25, 30])
+    def test_design_region_check(self, capsys, tmp_path, n):
+        code, out, _ = run(capsys, "design", "--n", str(n), "--a", "1",
+                           "--z", "1")
+        assert code == 0
+        assert json.loads(out)["result"]["covered"] is True
+        f = tmp_path / "design.json"
+        f.write_text(out, encoding="utf-8")
+        code, doc, _ = run_json(capsys, "check", "--n", str(n), "--a", "1",
+                                "--z", "1", "--design", str(f))
+        assert code in (0, 2)
+        assert doc["command"] == "check"
+        code, doc, _ = run_json(capsys, "region", "--n", str(n), "--a", "1")
+        assert code == 0
+        assert len(doc["result"]["intervals"]) == n
+
+    @pytest.mark.parametrize("argv", [
+        ["region", "--n", "25", "--a", "1e-8"],
+        ["region", "--n", "30", "--a", "1e8"],
+        ["design", "--n", "21", "--a", "1e-8", "--z", "-1e-9"],
+    ])
+    def test_extreme_scales(self, capsys, argv):
+        code, doc, _ = run_json(capsys, *argv)
+        assert code in (0, 2)
+        assert doc["command"] == argv[0]
+

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from slopedesign.designs import (AdmissibleRegion, BoundaryPoint, Design,
@@ -34,6 +35,16 @@ class TestTypes:
             DesignProblem(2, 0.0)
         with pytest.raises(ValueError):
             DesignProblem(2, math.inf)
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3"])
+    def test_problem_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError):
+            DesignProblem(n, 1.0)
+
+    def test_problem_accepts_numpy_integer(self):
+        pr = DesignProblem(np.int64(3), 1.0)
+        assert type(pr.n) is int
+        assert pr == DesignProblem(3, 1.0)
 
     def test_design_validation(self):
         with pytest.raises(ValueError):

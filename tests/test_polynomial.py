@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopedesign.polynomial import (Poly, RootList, ZeroPolynomial,
-                                    chebyshev_T, real_roots)
+from slopedesign.polynomial import Poly, chebyshev_T
 
 SQRT2 = math.sqrt(2)
 
@@ -119,69 +118,3 @@ class TestChebyshev:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             chebyshev_T(-1)
-
-
-class TestRealRoots:
-    def test_single_linear_root(self):
-        rl = real_roots(Poly((-1.0, 2.0)), -10, 10)
-        assert len(rl) == 1
-        assert rl.roots[0] == pytest.approx(0.5, abs=1e-12)
-
-    def test_reference_quadratic_roots(self):
-        rl = real_roots(Poly((0.66745, -8.6240, 13.933)), -10, 10)
-        assert len(rl) == 2
-        assert rl.roots[0] == pytest.approx(0.090, abs=2e-3)
-        assert rl.roots[1] == pytest.approx(0.528, abs=2e-3)
-
-    def test_no_real_roots(self):
-        assert len(real_roots(Poly((1.0, 0.0, 1.0)), -10, 10)) == 0
-
-    def test_open_interval_excludes_outside(self):
-        rl = real_roots(Poly((-1.0, 2.0)), 0.6, 10.0)
-        assert len(rl) == 0
-
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ZeroPolynomial):
-            real_roots(Poly((0.0, 0.0)), -1, 1)
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            real_roots(Poly((0.0, 1.0)), 1.0, 1.0)
-
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            real_roots(Poly((0.0,) * 21 + (1.0,)), -1, 1)
-
-    def test_multiple_root_reported_once(self):
-        # (x - 1)^2 * (x + 2)
-        p = Poly((-1.0, 1.0)) * Poly((-1.0, 1.0)) * Poly((2.0, 1.0))
-        rl = real_roots(p, -5, 5)
-        assert len(rl) == 2
-        assert rl.roots[0] == pytest.approx(-2.0, abs=1e-10)
-        assert rl.roots[1] == pytest.approx(1.0, abs=1e-8)
-
-    def test_planted_roots_recovered(self):
-        import random
-        rng = random.Random(20240817)
-        for _ in range(200):
-            deg = rng.randint(1, 10)
-            roots = sorted(rng.uniform(-2.0, 2.0) for _ in range(deg))
-            # keep the planted roots separated so isolation is meaningful
-            roots = [r + 0.11 * i for i, r in enumerate(roots)]
-            p = Poly((1.0,))
-            for r in roots:
-                p = p * Poly((-r, 1.0))
-            found = real_roots(p, -10.0, 10.0, tol=1e-13)
-            assert len(found) == deg
-            for got, want in zip(found.roots, roots):
-                assert got == pytest.approx(want, abs=1e-10)
-
-
-class TestRootList:
-    def test_requires_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            RootList((1.0, 1.0), 1e-12)
-
-    def test_iteration(self):
-        rl = RootList((0.25, 0.75), 1e-12)
-        assert list(rl) == [0.25, 0.75]

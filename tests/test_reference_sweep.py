@@ -1,0 +1,60 @@
+"""The closed form against the independent mpmath reference of the
+benchmark (``perfbench/reference.py``, which imports nothing from the
+package) over n = 1..30 and a in {1e-8, 1, 1e8}.
+
+The reference is evaluated on [0, 1] and carried to [0, a] by the exact
+scale equivariance of the problem, in 40-digit arithmetic: roots scale by a,
+L_i'(z) = L_i'^unit(z / a) / a, so the weights at z equal the unit weights
+at z / a and h scales by 1 / a.
+"""
+
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from slopedesign.designs import (DesignProblem, admissible_region,
+                                 basis_derivatives, weights_at)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference as R  # noqa: E402
+
+SCALES = (1e-8, 1.0, 1e8)
+
+
+def unit_targets(ref):
+    """z = 0 and one point per admissible interval of the unit problem."""
+    out = [R.mp.mpf(0)]
+    for lo, hi in ref.region():
+        if not R.mp.isfinite(lo) and not R.mp.isfinite(hi):
+            lo, hi = -0.5, 1.5
+        elif not R.mp.isfinite(lo):
+            lo = hi - 0.5
+        elif not R.mp.isfinite(hi):
+            hi = lo + 0.5
+        out.append((lo + hi) / 2)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_roots_weights_and_h_match_reference(n):
+    ref = R.problem(n, 1.0)
+    targets = unit_targets(ref)
+    for a in SCALES:
+        problem = DesignProblem(n, a)
+        got = admissible_region(problem).boundary_roots
+        for i in {0, n - 1}:
+            want = ref.roots(i)
+            assert len(got[i]) == len(want) == n - 1
+            for r, w in zip(got[i], want):
+                assert abs(r - a * w) <= 1e-12 * a, (n, a, i + 1)
+        for u in targets:
+            z = float(u * a)
+            zu = R.mp.mpf(z) / a
+            mags = [abs(v) for v in ref.derivs(zu)]
+            total = R.mp.fsum(mags)
+            for w, m in zip(weights_at(problem, z), mags):
+                assert abs(w - m / total) <= 1e-12, (n, a, z)
+            h = math.fsum(abs(v) for v in basis_derivatives(problem, z))
+            assert abs(h - total / a) <= 1e-12 * total / a, (n, a, z)
