@@ -2,6 +2,8 @@
 without intercept on [0, a], with optimality certificates and independent
 numerical oracles."""
 
+from importlib import import_module as _import_module
+
 from .designs import (AdmissibleRegion, AllDerivativesVanish, BoundaryPoint,
                       Design, DesignProblem, NotCovered, admissible_region,
                       basis_derivatives, lagrange_basis, optimal_design,
@@ -9,12 +11,27 @@ from .designs import (AdmissibleRegion, AllDerivativesVanish, BoundaryPoint,
 from .elfving import (ElfvingCertificate, InfoMatrix, ZOutsideRegion, certify,
                       extremal_polynomial, extremal_value, info_matrix,
                       monomial_features, slope_vector, variance)
-from .oracle import (GridSpec, Infeasible, NumericalFailure, OracleReport,
-                     SingularSupport, compare, lp_c_optimal,
-                     restricted_weights, simplex_minimize)
 from .polynomial import Degenerate, Poly, chebyshev_T
 
 __version__ = "0.1.0"
+
+# The oracle module needs numpy, so its names are imported on first access
+# (PEP 562); the closed form and the certificate run without numpy.
+_ORACLE_NAMES = frozenset({
+    "GridSpec", "Infeasible", "NumericalFailure", "OracleReport",
+    "SingularSupport", "compare", "lp_c_optimal", "restricted_weights",
+    "simplex_minimize",
+})
+
+
+def __getattr__(name):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = _import_module(".oracle", __name__)
+        value = oracle if name == "oracle" else getattr(oracle, name)
+        globals()[name] = value  # later lookups no longer come here
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdmissibleRegion", "AllDerivativesVanish", "BoundaryPoint", "Degenerate",

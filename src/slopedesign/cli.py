@@ -17,8 +17,8 @@ import sys
 from .designs import (AllDerivativesVanish, BoundaryPoint, DesignProblem,
                       Design, NotCovered, admissible_region,
                       basis_derivatives, optimal_design)
-from .elfving import ZOutsideRegion, certify, extremal_value, slope_vector, variance
-from .oracle import GridSpec, Infeasible, NumericalFailure, compare
+from .elfving import (ZOutsideRegion, _slope, certify, extremal_value,
+                      slope_vector, variance)
 from .polynomial import Degenerate
 
 EXIT_OK = 0
@@ -29,6 +29,10 @@ EXIT_INTERNAL = 70
 
 
 class _DataError(Exception):
+    pass
+
+
+class _InternalError(Exception):
     pass
 
 
@@ -93,6 +97,14 @@ class _UsageExit(Exception):
     pass
 
 
+def _require_finite(z: float, values) -> None:
+    # A target of huge magnitude overflows the powers of z; no JSON number
+    # can carry the result.
+    if not all(math.isfinite(v) for v in values):
+        raise _UsageExit(f"z={z!r} is out of range: its slope vector, "
+                         "weights, h or variance is not finite")
+
+
 def _design_payload(problem, z, args, warnings):
     try:
         design = optimal_design(problem, z, tol_root=args.tol_root)
@@ -106,6 +118,8 @@ def _design_payload(problem, z, args, warnings):
         return {"covered": False, "region": _region_payload(exc.region)}, False
     cert = certify(problem, z, design, grid_points=args.grid,
                    tol=args.tol_cert, tol_root=args.tol_root)
+    _require_finite(z, (*design.weights, cert.h, cert.h * cert.h,
+                        cert.condition3_residual))
     payload = {
         "covered": True,
         "points": list(design.points),
@@ -190,6 +204,7 @@ def _cmd_check(args) -> int:
     inputs = {"n": args.n, "a": args.a, "z": args.z, "design": args.design,
               "grid": args.grid, "tol_cert": args.tol_cert,
               "tol_root": args.tol_root}
+    _require_finite(args.z, _slope(args.n, args.z))
     var = variance(design, slope_vector(args.n, args.z))
     try:
         cert = certify(problem, args.z, design, grid_points=args.grid,
@@ -200,16 +215,29 @@ def _cmd_check(args) -> int:
                   "variance": _endpoint(var)}
         _emit("check", inputs, result, warnings)
         return EXIT_NOT_COVERED
+    _require_finite(args.z, (cert.h, cert.condition3_residual))
     result = cert.as_dict()
     result["variance"] = _endpoint(var)
     _emit("check", inputs, result, warnings)
     return EXIT_OK
 
 
+def compare(problem, z: float, grid_points: int):
+    """The three-route cross-check of :mod:`slopedesign.oracle`, which is
+    imported here, on first use, because it needs numpy."""
+    from .oracle import GridSpec, compare
+    return compare(problem, z, GridSpec(grid_points))
+
+
 def _cmd_oracle(args) -> int:
+    from .oracle import Infeasible, NumericalFailure
     problem = _problem(args)
     _check_grid_and_targets(args, args.n + 1)
-    report = compare(problem, args.z, GridSpec(args.grid))
+    _require_finite(args.z, _slope(args.n, args.z))
+    try:
+        report = compare(problem, args.z, args.grid)
+    except (Infeasible, NumericalFailure) as exc:
+        raise _InternalError(exc) from exc
     _emit("oracle", {"n": args.n, "a": args.a, "z": args.z,
                      "grid": args.grid}, report.as_dict(), [])
     return EXIT_OK
@@ -310,7 +338,7 @@ def main(argv=None) -> int:
     except _DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (Degenerate, NumericalFailure, Infeasible, AllDerivativesVanish,
+    except (_InternalError, Degenerate, AllDerivativesVanish,
             ArithmeticError) as exc:
         print(f"internal numerical failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

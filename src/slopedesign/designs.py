@@ -100,7 +100,11 @@ class AdmissibleRegion:
 
     def locate(self, z: float, boundary_tol: float = 1e-10):
         """Classify z: ("inside", j) with 1-based j, ("boundary", endpoint),
-        or ("outside", None)."""
+        or ("outside", None).
+
+        ``boundary_tol`` is absolute here; :func:`optimal_design` and
+        :func:`~slopedesign.elfving.certify` pass their tolerance times a.
+        """
         z = float(z)
         for lo, hi in self.intervals:
             for e in (lo, hi):
@@ -295,12 +299,14 @@ def optimal_design(problem: DesignProblem, z: float,
 
     For n = 1 all mass sits at a regardless of z.  For n > 1 the design exists
     only for z strictly inside the admissible region; :class:`NotCovered` and
-    :class:`BoundaryPoint` report the other cases explicitly.
+    :class:`BoundaryPoint` report the other cases explicitly.  A z within
+    ``boundary_tol * a`` of a finite region endpoint is a boundary point: the
+    tolerance is relative to a.
     """
     if problem.n == 1:
         return Design((problem.a,), (1.0,))
     region = admissible_region(problem, tol_root)
-    kind, info = region.locate(z, boundary_tol)
+    kind, info = region.locate(z, boundary_tol * problem.a)
     if kind == "boundary":
         raise BoundaryPoint(z, info)
     if kind == "outside":

@@ -13,12 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .designs import (Design, DesignProblem, admissible_region,
                       basis_derivatives, support_points)
 from .polynomial import Poly, chebyshev_T
+
+# numpy is imported inside the functions that build arrays only, so that the
+# certificate and the closed form run without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ZOutsideRegion(Exception):
@@ -32,13 +36,25 @@ class ZOutsideRegion(Exception):
 
 def monomial_features(n: int, x: float) -> np.ndarray:
     """The model vector (x, x^2, ..., x^n)."""
+    import numpy as np
     return np.power(float(x), np.arange(1, n + 1))
 
 
 def slope_vector(n: int, z: float) -> np.ndarray:
     """Derivative of the model vector: c = (1, 2z, ..., n z^(n-1))."""
+    import numpy as np
     k = np.arange(1, n + 1)
     return k * np.power(float(z), k - 1)
+
+
+def _slope(n: int, z: float) -> list[float]:
+    # slope_vector on plain floats.  The powers are repeated products, which
+    # overflow to inf without raising or warning.
+    c, zk = [], 1.0
+    for k in range(1, n + 1):
+        c.append(k * zk)
+        zk *= z
+    return c
 
 
 @dataclass(frozen=True)
@@ -48,6 +64,7 @@ class InfoMatrix:
     entries: np.ndarray
 
     def __init__(self, entries: np.ndarray):
+        import numpy as np
         m = np.asarray(entries, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -94,6 +111,7 @@ def info_matrix(design: Design, n: int) -> InfoMatrix:
     """Moment matrix of a design in the degree-n model without intercept."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    import numpy as np
     pts = np.asarray(design.points)
     w = np.asarray(design.weights)
     v = np.vander(pts, n + 1, increasing=True)[:, 1:]  # columns x^1..x^n
@@ -110,6 +128,7 @@ def variance(design: Design, c, rtol: float = 1e-8) -> float:
     condition number exponent compared to solving with M directly: the
     minimum-norm solution of B^T y = c gives c^T M^- c = |y|^2.
     """
+    import numpy as np
     c = np.asarray(c, dtype=float)
     n = c.size
     pts = np.asarray(design.points)
@@ -184,13 +203,15 @@ def certify(problem: DesignProblem, z: float, design: Design,
     support points inside (0, a)), which pins the sup-norm.  Neither the
     extremal polynomial nor this condition-1 margin depends on z or on the
     design, so both are computed once per (problem, grid_points, tol_root)
-    and cached; conditions (2) and (3) are evaluated on every call.
+    and cached; conditions (2) and (3) are evaluated on every call.  As in
+    :func:`~slopedesign.designs.optimal_design`, ``boundary_tol`` is
+    relative to a.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     n = problem.n
     region = admissible_region(problem, tol_root)
-    kind, j = region.locate(z, boundary_tol)
+    kind, j = region.locate(z, boundary_tol * problem.a)
     if kind != "inside":
         raise ZOutsideRegion(z, region)
 
@@ -205,13 +226,19 @@ def certify(problem: DesignProblem, z: float, design: Design,
     vals = [sign * extremal_value(problem, x) for x in design.points]
     cond2 = tuple(abs(abs(v) - 1.0) for v in vals)
 
-    c = slope_vector(n, z)
-    rep = np.zeros(n)
+    # Condition 3 on n-vectors: c = h * rep with rep_k = sum w v x^k.
+    c = _slope(n, z)
+    rep = [0.0] * n
     for x, w, v in zip(design.points, design.weights, vals):
-        rep += w * v * monomial_features(n, x)
-    cond3 = float(np.max(np.abs(c - h * rep)))
+        wv, xk = w * v, x
+        for k in range(n):
+            rep[k] += wv * xk
+            xk *= x
+    res = [abs(ck - h * rk) for ck, rk in zip(c, rep)]
+    # max() may pass over a nan; an overflowed residual has to stay nan.
+    cond3 = math.nan if any(math.isnan(r) for r in res) else max(res)
 
     ok = (cond1 <= tol and all(r <= tol for r in cond2)
-          and cond3 <= tol * (1.0 + float(np.max(np.abs(c)))))
+          and cond3 <= tol * (1.0 + max(abs(ck) for ck in c)))
     return ElfvingCertificate(p, h, cond1, cond2, cond3,
                               "verified" if ok else "failed")

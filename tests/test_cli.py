@@ -366,3 +366,48 @@ class TestLargeDegree:
         assert code in (0, 2)
         assert doc["command"] == argv[0]
 
+
+    def test_small_interval_target_near_boundary_is_covered(self, capsys):
+        # z = a lies 2.3e-11 above the last interval's lower end, well inside
+        # at the scale of a = 1e-8; the boundary tolerance is relative to a.
+        code, doc, _ = run_json(capsys, "design", "--n", "21", "--a", "1e-8",
+                                "--z", "1e-8")
+        assert code == 0
+        assert doc["result"]["covered"] is True
+        assert doc["result"]["certificate"]["verdict"] == "verified"
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning is a 2nd line
+class TestOverflowingTargets:
+    """A target whose powers overflow exits 64, names itself, prints nothing."""
+
+    def _assert_rejected(self, code, out, err, z):
+        assert code == 64
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"z={float(z)!r}" in err
+        assert "not finite" in err
+
+    @pytest.mark.parametrize("n,a,z", [("4", "1", "1e300"), ("30", "1", "1e30"),
+                                       ("4", "1e80", "1e103")])
+    def test_design(self, capsys, n, a, z):
+        code, out, err = run(capsys, "design", "--n", n, "--a", a, "--z", z)
+        self._assert_rejected(code, out, err, z)
+
+    def test_design_z_list(self, capsys):
+        code, out, err = run(capsys, "design", "--n", "4", "--a", "1",
+                             "--z-list", "0.95", "1e300")
+        self._assert_rejected(code, out, err, "1e300")
+
+    def test_check(self, capsys, tmp_path):
+        f = tmp_path / "d.json"
+        _, out, _ = run(capsys, "design", "--n", "3", "--a", "1", "--z", "1")
+        f.write_text(out, encoding="utf-8")
+        code, out, err = run(capsys, "check", "--n", "3", "--a", "1",
+                             "--z", "1e300", "--design", str(f))
+        self._assert_rejected(code, out, err, "1e300")
+
+    def test_oracle(self, capsys):
+        code, out, err = run(capsys, "oracle", "--n", "4", "--a", "1",
+                             "--z", "1e300")
+        self._assert_rejected(code, out, err, "1e300")

@@ -245,6 +245,28 @@ class TestAdmissibleRegion:
         assert region.locate(0.4) == ("inside", 2)
         assert region.locate(0.2) == ("outside", None)
 
+    @pytest.mark.parametrize("n", [2, 4, 9, 21])
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
+    def test_locate_is_scale_free(self, n, a):
+        # With the tolerance taken relative to a, as optimal_design and
+        # certify pass it, (n, a, z) and (n, 1, z / a) are classified alike:
+        # on the endpoints, within and beyond 1e-10 of them, and in between.
+        unit = admissible_region(DesignProblem(n, 1.0))
+        scaled = admissible_region(DesignProblem(n, a))
+        ends = [e for iv in unit.intervals for e in iv if math.isfinite(e)]
+        us = [e + d for e in ends
+              for d in (0.0, 5e-11, -5e-11, 2e-10, -2e-10, 1e-3, -1e-3)]
+        us += [-1.0, 0.0, 0.5, 2.0]
+        for u in us:
+            z = u * a
+            got = scaled.locate(z, 1e-10 * a)
+            want = unit.locate(z / a, 1e-10)
+            assert got[0] == want[0], (u, got, want)
+            if got[0] == "boundary":
+                assert got[1] / a == pytest.approx(want[1], rel=1e-12)
+            else:
+                assert got[1] == want[1]
+
 
 class TestOptimalDesign:
     def test_n1_always_all_mass_at_a(self):

