@@ -4,10 +4,10 @@ numerical oracles."""
 
 from importlib import import_module as _import_module
 
-from .designs import (AdmissibleRegion, AllDerivativesVanish, BoundaryPoint,
-                      Design, DesignProblem, NotCovered, admissible_region,
-                      basis_derivatives, lagrange_basis, optimal_design,
-                      support_points, weight_functions, weights_at)
+from .designs import (AdmissibleRegion, BoundaryPoint, Design, DesignProblem,
+                      NotCovered, admissible_region, basis_derivatives,
+                      lagrange_basis, optimal_design, support_points,
+                      weight_functions, weights_at)
 from .elfving import (ElfvingCertificate, InfoMatrix, ZOutsideRegion, certify,
                       extremal_polynomial, extremal_value, info_matrix,
                       monomial_features, slope_vector, variance)
@@ -34,8 +34,7 @@ def __getattr__(name):
 
 
 __all__ = [
-    "AdmissibleRegion", "AllDerivativesVanish", "BoundaryPoint", "Degenerate",
-    "Design", "DesignProblem", "ElfvingCertificate", "GridSpec", "Infeasible",
+    "AdmissibleRegion", "BoundaryPoint", "Degenerate", "Design", "DesignProblem", "ElfvingCertificate", "GridSpec", "Infeasible",
     "InfoMatrix", "NotCovered", "NumericalFailure", "OracleReport", "Poly",
     "SingularSupport", "ZOutsideRegion", "admissible_region",
     "basis_derivatives", "certify", "chebyshev_T", "compare",

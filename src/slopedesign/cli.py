@@ -14,9 +14,8 @@ import math
 import re
 import sys
 
-from .designs import (AllDerivativesVanish, BoundaryPoint, DesignProblem,
-                      Design, NotCovered, admissible_region,
-                      basis_derivatives, optimal_design)
+from .designs import (BoundaryPoint, DesignProblem, Design, NotCovered,
+                      admissible_region, basis_derivatives, optimal_design)
 from .elfving import (ZOutsideRegion, _slope, certify, extremal_value,
                       slope_vector, variance)
 from .polynomial import Degenerate
@@ -73,16 +72,14 @@ def _emit(command: str, inputs: dict, result, warnings: list[str]) -> None:
 
 
 def _problem(args) -> DesignProblem:
-    if args.n < 1:
-        raise _UsageExit("--n must be >= 1")
-    if not (math.isfinite(args.a) and args.a > 0):
-        raise _UsageExit("--a must be finite and > 0")
-    for flag in ("tol_root", "tol_cert"):
-        tol = getattr(args, flag, None)
-        if tol is not None and not (math.isfinite(tol) and tol > 0):
-            raise _UsageExit(f"--{flag.replace('_', '-')} must be finite "
-                             "and > 0")
-    return DesignProblem(args.n, args.a)
+    try:
+        problem = DesignProblem(args.n, args.a)
+    except ValueError as exc:
+        raise _UsageExit(exc) from exc
+    tol = getattr(args, "tol_cert", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise _UsageExit("--tol-cert must be finite and > 0")
+    return problem
 
 
 def _check_grid_and_targets(args, min_grid: int) -> None:
@@ -102,24 +99,29 @@ def _require_finite(z: float, values) -> None:
     # can carry the result.
     if not all(math.isfinite(v) for v in values):
         raise _UsageExit(f"z={z!r} is out of range: its slope vector, "
-                         "weights, h or variance is not finite")
+                         "weights, h, variance or a certificate margin is "
+                         "not finite")
+
+
+def _cert_numbers(cert) -> tuple[float, ...]:
+    return (cert.h, cert.h * cert.h, cert.condition1_margin,
+            *cert.condition2_residuals, cert.condition3_residual)
 
 
 def _design_payload(problem, z, args, warnings):
     try:
-        design = optimal_design(problem, z, tol_root=args.tol_root)
+        design = optimal_design(problem, z)
     except BoundaryPoint as exc:
         warnings.append(
             f"z={z!r} lies on a region boundary (endpoint {exc.endpoint!r}); "
             "a support weight vanishes there")
-        region = admissible_region(problem, args.tol_root)
+        region = admissible_region(problem)
         return {"covered": False, "region": _region_payload(region)}, False
     except NotCovered as exc:
         return {"covered": False, "region": _region_payload(exc.region)}, False
     cert = certify(problem, z, design, grid_points=args.grid,
-                   tol=args.tol_cert, tol_root=args.tol_root)
-    _require_finite(z, (*design.weights, cert.h, cert.h * cert.h,
-                        cert.condition3_residual))
+                   tol=args.tol_cert)
+    _require_finite(z, (*design.weights, *_cert_numbers(cert)))
     payload = {
         "covered": True,
         "points": list(design.points),
@@ -147,7 +149,7 @@ def _cmd_design(args) -> int:
     else:
         result, all_covered = _design_payload(problem, args.z, args, warnings)
     inputs = {"n": args.n, "a": args.a, "grid": args.grid,
-              "tol_cert": args.tol_cert, "tol_root": args.tol_root}
+              "tol_cert": args.tol_cert}
     if args.z_list is not None:
         inputs["z_list"] = args.z_list
     else:
@@ -158,14 +160,13 @@ def _cmd_design(args) -> int:
 
 def _cmd_region(args) -> int:
     problem = _problem(args)
-    region = admissible_region(problem, args.tol_root)
+    region = admissible_region(problem)
     result = {
         "intervals": _region_payload(region),
         "roots": {str(i + 1): list(rs)
                   for i, rs in enumerate(region.boundary_roots)},
     }
-    _emit("region", {"n": args.n, "a": args.a, "tol_root": args.tol_root},
-          result, [])
+    _emit("region", {"n": args.n, "a": args.a}, result, [])
     return EXIT_OK
 
 
@@ -190,32 +191,35 @@ def _cmd_check(args) -> int:
     warnings: list[str] = []
     points, weights = _load_design_file(args.design)
     try:
-        total = math.fsum(float(w) for w in weights)
+        points = [float(x) for x in points]
+        weights = [float(w) for w in weights]
     except (TypeError, ValueError) as exc:
-        raise _DataError(f"weights are not numeric: {exc}") from exc
+        raise _DataError(f"points and weights must be numbers: {exc}") from exc
+    if not all(math.isfinite(v) for v in points + weights):
+        raise _DataError("points and weights must be finite")
+    total = math.fsum(weights)
     if abs(total - 1.0) > 1e-9:
         raise _DataError(f"weights sum to {total!r}, violating 1 within 1e-9")
     if abs(total - 1.0) > 1e-12:
         warnings.append("weights renormalized to sum exactly to 1")
     try:
-        design = Design(points, [float(w) / total for w in weights])
+        design = Design(points, [w / total for w in weights])
     except ValueError as exc:
         raise _DataError(f"invalid design: {exc}") from exc
     inputs = {"n": args.n, "a": args.a, "z": args.z, "design": args.design,
-              "grid": args.grid, "tol_cert": args.tol_cert,
-              "tol_root": args.tol_root}
+              "grid": args.grid, "tol_cert": args.tol_cert}
     _require_finite(args.z, _slope(args.n, args.z))
     var = variance(design, slope_vector(args.n, args.z))
     try:
         cert = certify(problem, args.z, design, grid_points=args.grid,
-                       tol=args.tol_cert, tol_root=args.tol_root)
+                       tol=args.tol_cert)
     except ZOutsideRegion as exc:
         result = {"verdict": "z_outside_region",
                   "region": _region_payload(exc.region),
                   "variance": _endpoint(var)}
         _emit("check", inputs, result, warnings)
         return EXIT_NOT_COVERED
-    _require_finite(args.z, (cert.h, cert.condition3_residual))
+    _require_finite(args.z, _cert_numbers(cert))
     result = cert.as_dict()
     result["variance"] = _endpoint(var)
     _emit("check", inputs, result, warnings)
@@ -230,14 +234,21 @@ def compare(problem, z: float, grid_points: int):
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import Infeasible, NumericalFailure
+    from numpy.linalg import LinAlgError
+    from .oracle import Infeasible, NumericalFailure, SingularSupport
     problem = _problem(args)
     _check_grid_and_targets(args, args.n + 1)
     _require_finite(args.z, _slope(args.n, args.z))
     try:
         report = compare(problem, args.z, args.grid)
-    except (Infeasible, NumericalFailure) as exc:
+    except OverflowError as exc:
+        raise _UsageExit(f"z={args.z!r} is out of range: {exc}") from exc
+    except (Infeasible, NumericalFailure, SingularSupport,
+            LinAlgError) as exc:
         raise _InternalError(exc) from exc
+    _require_finite(args.z, (report.lp_variance, report.restricted_variance,
+                             report.closed_form_variance or 0.0,
+                             report.margin_threshold))
     _emit("oracle", {"n": args.n, "a": args.a, "z": args.z,
                      "grid": args.grid}, report.as_dict(), [])
     return EXIT_OK
@@ -255,7 +266,7 @@ def _cmd_plotdata(args) -> int:
             x = problem.a * k / (m - 1)
             out.write(f"{x:.17g},{extremal_value(problem, x):.17g}\n")
         return EXIT_OK
-    region = admissible_region(problem, 1e-12)
+    region = admissible_region(problem)
     roots = [r for rs in region.boundary_roots for r in rs]
     if roots:
         lo, hi = min(roots), max(roots)
@@ -277,9 +288,6 @@ def _add_common(p, with_z=True, with_tols=True):
     if with_z:
         p.add_argument("--z", type=float, help="target point for the slope")
     if with_tols:
-        p.add_argument("--tol-root", dest="tol_root", type=float, default=1e-12,
-                       help="absolute tolerance of the region's boundary "
-                            "roots (finite, > 0)")
         p.add_argument("--tol-cert", dest="tol_cert", type=float, default=1e-8,
                        help="certificate margin tolerance (finite, > 0)")
         p.add_argument("--grid", type=int, default=2001,
@@ -338,8 +346,7 @@ def main(argv=None) -> int:
     except _DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (_InternalError, Degenerate, AllDerivativesVanish,
-            ArithmeticError) as exc:
+    except (_InternalError, Degenerate, ArithmeticError) as exc:
         print(f"internal numerical failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

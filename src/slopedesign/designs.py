@@ -16,10 +16,6 @@ from functools import lru_cache
 from .polynomial import Degenerate, Poly
 
 
-class AllDerivativesVanish(ArithmeticError):
-    """Every basis derivative is ~0 at z; weights are undefined."""
-
-
 class NotCovered(Exception):
     """z lies outside the admissible region; no closed-form design exists."""
 
@@ -86,29 +82,37 @@ class Design:
         return len(self.points)
 
 
+# A target within this fraction of a of a finite region endpoint is a
+# boundary point.  The problem is scale-equivariant in a, so the band is too.
+_BOUNDARY_REL = 1e-10
+
+
 @dataclass(frozen=True)
 class AdmissibleRegion:
     """Ordered union of open intervals for z, with the labeled boundary roots.
 
     ``intervals[j-1]`` is the j-th interval; the first lower endpoint is -inf
     and the last upper endpoint is +inf.  ``boundary_roots[i-1]`` holds the
-    ascending roots of the i-th basis derivative.
+    ascending roots of the i-th basis derivative.  ``a`` is the right end of
+    the design interval, which sets the width of the boundary band.
     """
 
+    a: float
     intervals: tuple[tuple[float, float], ...]
     boundary_roots: tuple[tuple[float, ...], ...]
 
-    def locate(self, z: float, boundary_tol: float = 1e-10):
+    def locate(self, z: float):
         """Classify z: ("inside", j) with 1-based j, ("boundary", endpoint),
         or ("outside", None).
 
-        ``boundary_tol`` is absolute here; :func:`optimal_design` and
-        :func:`~slopedesign.elfving.certify` pass their tolerance times a.
+        z is a boundary point when it lies within 1e-10 * a of a finite
+        endpoint.
         """
         z = float(z)
+        band = _BOUNDARY_REL * self.a
         for lo, hi in self.intervals:
             for e in (lo, hi):
-                if math.isfinite(e) and abs(z - e) <= boundary_tol:
+                if math.isfinite(e) and abs(z - e) <= band:
                     return ("boundary", e)
         for j, (lo, hi) in enumerate(self.intervals, start=1):
             if lo < z < hi:
@@ -204,10 +208,10 @@ def weight_functions(problem: DesignProblem) -> tuple[Poly, ...]:
 
 def weights_at(problem: DesignProblem, z: float) -> tuple[float, ...]:
     """Normalized absolute basis-derivative values |L_i'(z)| / sum_j |L_j'(z)|."""
+    # The basis reproduces x, sum_i s_i L_i'(z) = 1, so the total is at
+    # least 1 / a and never zero.
     vals = [abs(v) for v in basis_derivatives(problem, z)]
     total = math.fsum(vals)
-    if total < 1e-14:
-        raise AllDerivativesVanish(f"all basis derivatives vanish at z={z!r}")
     return tuple(v / total for v in vals)
 
 
@@ -255,10 +259,17 @@ def _rolle_root(zeros: tuple[float, ...], k: int) -> float:
 
 
 @lru_cache(maxsize=256)
-def _region_cached(problem: DesignProblem, tol: float) -> AdmissibleRegion:
+def admissible_region(problem: DesignProblem) -> AdmissibleRegion:
+    """The n open z-intervals on which the closed-form design is optimal.
+
+    Interval j runs from the (j-1)-th root of the first basis derivative to
+    the j-th root of the last one (conventionally -inf and +inf at the ends).
+    Each root is solved on [0, 1] down to the rounding level of double
+    precision, a few 1e-16 * a.
+    """
     n, a = problem.n, problem.a
     if n == 1:
-        return AdmissibleRegion(((-math.inf, math.inf),), ((),))
+        return AdmissibleRegion(a, ((-math.inf, math.inf),), ((),))
     s, _ = _unit_nodes(n)
     # L_i has the simple zeros 0 and s_j (j != i); by Rolle, each gap between
     # consecutive zeros holds exactly one root of L_i'.  Solved on [0, 1].
@@ -276,37 +287,21 @@ def _region_cached(problem: DesignProblem, tol: float) -> AdmissibleRegion:
     for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
         if not hi < lo:
             raise Degenerate("region intervals are not disjoint")
-    return AdmissibleRegion(tuple(intervals), tuple(roots))
+    return AdmissibleRegion(a, tuple(intervals), tuple(roots))
 
 
-def admissible_region(problem: DesignProblem,
-                      tol_root: float = 1e-12) -> AdmissibleRegion:
-    """The n open z-intervals on which the closed-form design is optimal.
-
-    Interval j runs from the (j-1)-th root of the first basis derivative to
-    the j-th root of the last one (conventionally -inf and +inf at the ends).
-    ``tol_root`` is the absolute tolerance of those roots: each is solved on
-    [0, 1] down to the rounding level of double precision, a few 1e-16 * a,
-    which meets any tolerance above that.
-    """
-    return _region_cached(problem, float(tol_root))
-
-
-def optimal_design(problem: DesignProblem, z: float,
-                   boundary_tol: float = 1e-10,
-                   tol_root: float = 1e-12) -> Design:
+def optimal_design(problem: DesignProblem, z: float) -> Design:
     """The closed-form optimal design for slope estimation at z.
 
     For n = 1 all mass sits at a regardless of z.  For n > 1 the design exists
     only for z strictly inside the admissible region; :class:`NotCovered` and
-    :class:`BoundaryPoint` report the other cases explicitly.  A z within
-    ``boundary_tol * a`` of a finite region endpoint is a boundary point: the
-    tolerance is relative to a.
+    :class:`BoundaryPoint` report the other cases explicitly; the boundary
+    band is that of :meth:`AdmissibleRegion.locate`.
     """
     if problem.n == 1:
         return Design((problem.a,), (1.0,))
-    region = admissible_region(problem, tol_root)
-    kind, info = region.locate(z, boundary_tol * problem.a)
+    region = admissible_region(problem)
+    kind, info = region.locate(z)
     if kind == "boundary":
         raise BoundaryPoint(z, info)
     if kind == "outside":

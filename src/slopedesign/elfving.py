@@ -126,18 +126,23 @@ def variance(design: Design, c, rtol: float = 1e-8) -> float:
     Internally the quadratic form is evaluated through the weighted
     square-root factor of M = B^T B with row equilibration, which halves the
     condition number exponent compared to solving with M directly: the
-    minimum-norm solution of B^T y = c gives c^T M^- c = |y|^2.
+    minimum-norm solution of B^T y = c gives c^T M^- c = |y|^2.  Raises
+    :class:`OverflowError` when the scaled system is not finite, such as
+    when the powers of a support point overflow.
     """
     import numpy as np
     c = np.asarray(c, dtype=float)
     n = c.size
     pts = np.asarray(design.points)
     w = np.asarray(design.weights)
-    bt = np.vander(pts, n + 1, increasing=True)[:, 1:].T * np.sqrt(w)
-    row_scale = np.abs(bt).max(axis=1)
-    row_scale[row_scale == 0.0] = 1.0
-    r = bt / row_scale[:, None]
-    rhs = c / row_scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        bt = np.vander(pts, n + 1, increasing=True)[:, 1:].T * np.sqrt(w)
+        row_scale = np.abs(bt).max(axis=1)
+        row_scale[row_scale == 0.0] = 1.0
+        r = bt / row_scale[:, None]
+        rhs = c / row_scale
+    if not (np.isfinite(r).all() and np.isfinite(rhs).all()):
+        raise OverflowError("the scaled moment system is not finite")
     y, *_ = np.linalg.lstsq(r, rhs, rcond=None)
     if np.linalg.norm(r @ y - rhs) > rtol * np.linalg.norm(rhs):
         return math.inf
@@ -170,13 +175,12 @@ def extremal_value(problem: DesignProblem, x: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def _extremal_cached(problem: DesignProblem, grid_points: int,
-                     tol_root: float) -> tuple[tuple[float, ...], float]:
+def _extremal_cached(problem: DesignProblem,
+                     grid_points: int) -> tuple[tuple[float, ...], float]:
     # Everything in certify that does not depend on z or on the design: the
     # coefficients of x^1..x^n of the extremal polynomial and the condition-1
     # margin over the grid augmented with its critical points, which are the
-    # interior extremal points: every support point but a.  tol_root only
-    # keys the cache.
+    # interior extremal points: every support point but a.
     n, a = problem.n, problem.a
     s_poly = extremal_polynomial(problem)
     const = s_poly.coeffs[0]
@@ -190,9 +194,8 @@ def _extremal_cached(problem: DesignProblem, grid_points: int,
 
 
 def certify(problem: DesignProblem, z: float, design: Design,
-            grid_points: int = 2001, tol: float = 1e-8,
-            tol_root: float = 1e-12,
-            boundary_tol: float = 1e-10) -> ElfvingCertificate:
+            grid_points: int = 2001,
+            tol: float = 1e-8) -> ElfvingCertificate:
     """Evaluate the three optimality conditions for ``design`` at target z.
 
     h is (-1)^(n+j) * sum_i |L_i'(z)| for the interval index j containing z
@@ -202,16 +205,15 @@ def certify(problem: DesignProblem, z: float, design: Design,
     augmented with the critical points of the extremal polynomial (the
     support points inside (0, a)), which pins the sup-norm.  Neither the
     extremal polynomial nor this condition-1 margin depends on z or on the
-    design, so both are computed once per (problem, grid_points, tol_root)
-    and cached; conditions (2) and (3) are evaluated on every call.  As in
-    :func:`~slopedesign.designs.optimal_design`, ``boundary_tol`` is
-    relative to a.
+    design, so both are computed once per (problem, grid_points) and
+    cached; conditions (2) and (3) are evaluated on every call.  z is located
+    in the region as in :func:`~slopedesign.designs.optimal_design`.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     n = problem.n
-    region = admissible_region(problem, tol_root)
-    kind, j = region.locate(z, boundary_tol * problem.a)
+    region = admissible_region(problem)
+    kind, j = region.locate(z)
     if kind != "inside":
         raise ZOutsideRegion(z, region)
 
@@ -220,7 +222,7 @@ def certify(problem: DesignProblem, z: float, design: Design,
     sign = 1.0 if h_signed > 0 else -1.0
     h = abs(h_signed)
 
-    coeffs, cond1 = _extremal_cached(problem, grid_points, float(tol_root))
+    coeffs, cond1 = _extremal_cached(problem, grid_points)
     p = tuple(sign * c for c in coeffs)
 
     vals = [sign * extremal_value(problem, x) for x in design.points]

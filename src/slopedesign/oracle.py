@@ -204,9 +204,13 @@ def lp_c_optimal(problem: DesignProblem, c,
     big_f = np.vander(pts, n + 1, increasing=True)[:, 1:].T  # rows f_1..f_n
     scale = np.abs(big_f).max(axis=1)
     A = np.hstack([big_f, -big_f]) / scale[:, None]
-    x, h = simplex_minimize(np.ones(2 * pts.size), A, c / scale)
+    with np.errstate(all="ignore"):
+        rhs = c / scale
+    if not np.all(np.isfinite(rhs)):
+        raise OverflowError("the LP right-hand side c / scale overflows")
+    x, h = simplex_minimize(np.ones(2 * pts.size), A, rhs)
     mass = x[:pts.size] + x[pts.size:]
-    sel = mass > 1e-12
+    sel = mass > 1e-12 * mass.sum()
     w = mass[sel] / mass[sel].sum()
     return h, Design(pts[sel], w)
 
@@ -223,10 +227,11 @@ def restricted_weights(support, c) -> tuple[float, tuple[float, ...]]:
     n = c.size
     if s.size != n:
         raise ValueError("support size must match the length of c")
-    if np.any(np.abs(s) < 1e-12):
+    tol = 1e-12 * np.max(np.abs(s))
+    if np.any(np.abs(s) <= tol):
         raise SingularSupport("a support point sits at 0, where f vanishes")
-    if n > 1 and np.min(np.diff(np.sort(s))) < 1e-12:
-        raise SingularSupport("support points coincide within 1e-12")
+    if n > 1 and np.min(np.diff(np.sort(s))) <= tol:
+        raise SingularSupport("support points coincide within 1e-12 * max|s|")
     big_f = np.vander(s, n + 1, increasing=True)[:, 1:].T
     try:
         beta = np.linalg.solve(big_f, c)

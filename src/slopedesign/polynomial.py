@@ -1,9 +1,6 @@
 """Dense univariate real polynomials.
 
 Coefficients are stored in ascending powers: ``coeffs[k]`` multiplies ``x**k``.
-Evaluation uses a compensated Horner scheme, so values are accurate to a few
-ulps even for ill-conditioned monomial expansions (rescaled Chebyshev
-polynomials reach condition numbers near 1e7 by degree 10).
 """
 
 from __future__ import annotations
@@ -17,38 +14,6 @@ from typing import Sequence
 class Degenerate(RuntimeError):
     """A root computation failed: an admissible interval came out empty or
     overlapping, or a root solver did not converge."""
-
-
-_SPLIT_FACTOR = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ca = _SPLIT_FACTOR * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLIT_FACTOR * b
-    bh = cb - (cb - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
-def _comp_horner(coeffs: Sequence[float], x: float) -> float:
-    # Compensated Horner: result accurate to ~1 ulp of the true value.
-    s = coeffs[-1]
-    e = 0.0
-    for k in range(len(coeffs) - 2, -1, -1):
-        p, pe = _two_prod(s, x)
-        s, se = _two_sum(p, coeffs[k])
-        e = e * x + (pe + se)
-    return s + e
 
 
 @dataclass(frozen=True)
@@ -77,7 +42,11 @@ class Poly:
         return None
 
     def __call__(self, x: float) -> float:
-        return _comp_horner(self.coeffs, float(x))
+        x = float(x)
+        acc = self.coeffs[-1]
+        for c in self.coeffs[-2::-1]:
+            acc = acc * x + c
+        return acc
 
     def derivative(self) -> "Poly":
         if len(self.coeffs) == 1:

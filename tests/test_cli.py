@@ -250,6 +250,22 @@ class TestInternalErrors:
         assert out == ""
         assert "synthetic failure" in err
 
+    @pytest.mark.parametrize("name", ["SingularSupport", "LinAlgError"])
+    def test_singular_systems_map_to_exit_70(self, capsys, monkeypatch, name):
+        import numpy as np
+        from slopedesign import cli, oracle
+        exc = {"SingularSupport": oracle.SingularSupport,
+               "LinAlgError": np.linalg.LinAlgError}[name]
+
+        def boom(*args, **kwargs):
+            raise exc("synthetic singular system")
+
+        monkeypatch.setattr(cli, "compare", boom)
+        code, out, err = run(capsys, "oracle", "--n", "2", "--a", "1", "--z", "1")
+        assert code == 70
+        assert out == ""
+        assert "synthetic singular system" in err
+
 
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
@@ -315,7 +331,7 @@ class TestUsageErrors:
         assert out == ""
         assert "finite" in err
 
-    @pytest.mark.parametrize("flag", ["--tol-cert", "--tol-root"])
+    @pytest.mark.parametrize("flag", ["--tol-cert"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
     def test_tolerance_must_be_finite_and_positive(self, capsys, flag, value):
         code, out, err = run(capsys, "design", "--n", "4", "--a", "1",
@@ -324,10 +340,20 @@ class TestUsageErrors:
         assert out == ""
         assert f"{flag} must be finite and > 0" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["design", "--n", "4", "--a", "1", "--z", "0.95"],
+        ["region", "--n", "4", "--a", "1"],
+        ["check", "--n", "2", "--a", "1", "--z", "1", "--design", "d.json"],
+    ])
+    def test_tol_root_is_removed(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--tol-root", "1e-12"])
+        assert err.value.code == 64
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--tol-root" in out.err
+
     def test_region_and_check_tolerances(self, capsys, tmp_path):
-        code, out, err = run(capsys, "region", "--n", "4", "--a", "1",
-                             "--tol-root", "0")
-        assert (code, out) == (64, "")
         f = tmp_path / "d.json"
         f.write_text(json.dumps({"points": [SQRT2 - 1, 1.0],
                                  "weights": [0.5, 0.5]}), encoding="utf-8")
@@ -375,6 +401,37 @@ class TestLargeDegree:
         assert code == 0
         assert doc["result"]["covered"] is True
         assert doc["result"]["certificate"]["verdict"] == "verified"
+
+    def test_huge_interval(self, capsys):
+        # Every |L_i'(z)| is about 1 / a = 1e-20 here; the weights are
+        # still well defined, since sum_i s_i L_i'(z) = 1.
+        code, doc, _ = run_json(capsys, "design", "--n", "2", "--a", "1e20",
+                                "--z", "1e20")
+        assert code == 0
+        assert doc["result"]["certificate"]["verdict"] == "verified"
+
+
+class TestOracleExtremeScales:
+    """The oracle keeps the exit-code contract far outside a = 1."""
+
+    @pytest.mark.parametrize("n,a,z", [("1", "1e80", "0.5"),
+                                       ("3", "1e-12", "1e-12")])
+    def test_agrees(self, capsys, n, a, z):
+        code, doc, _ = run_json(capsys, "oracle", "--n", n, "--a", a, "--z", z)
+        assert code == 0
+        assert doc["result"]["agrees"] is True
+
+    @pytest.mark.parametrize("n,a,z", [("2", "1e-8", "1e300"),
+                                       ("4", "1e-8", "1e100"),
+                                       ("2", "1e80", "1e300"),
+                                       ("3", "3140", "2.3066102291535913e+81")])
+    def test_out_of_range_target(self, capsys, n, a, z):
+        # The LP right-hand side, the closed-form weights or a variance of
+        # the report overflow.
+        code, out, err = run(capsys, "oracle", "--n", n, "--a", a, "--z", z)
+        assert code == 64
+        assert out == ""
+        assert f"z={float(z)!r}" in err
 
 
 @pytest.mark.filterwarnings("error")  # a numpy overflow warning is a 2nd line

@@ -5,8 +5,9 @@ import pytest
 
 from slopedesign.designs import (AdmissibleRegion, BoundaryPoint, Design,
                                  DesignProblem, NotCovered, admissible_region,
-                                 lagrange_basis, optimal_design,
-                                 support_points, weight_functions, weights_at)
+                                 basis_derivatives, lagrange_basis,
+                                 optimal_design, support_points,
+                                 weight_functions, weights_at)
 
 SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
@@ -159,6 +160,18 @@ class TestWeightsAt:
         assert all(wi > 0 for wi in w)
         assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8, 1e20])
+    def test_basis_reproduces_x(self, a):
+        # sum_i s_i L_i'(z) = 1, so sum_i |L_i'(z)| >= 1 / a: the weights
+        # never divide by zero, at any scale.
+        for n in range(1, 31):
+            pr = DesignProblem(n, a)
+            s = support_points(pr)
+            for z in (-a, 0.0, 0.05 * a, 0.3 * a, a, 2.0 * a):
+                terms = [si * d for si, d in zip(s, basis_derivatives(pr, z))]
+                scale = math.fsum(abs(t) for t in terms)
+                assert abs(math.fsum(terms) - 1.0) <= 1e-13 * scale, (n, z)
+
 
 class TestAdmissibleRegion:
     def test_n3_reference(self):
@@ -245,27 +258,48 @@ class TestAdmissibleRegion:
         assert region.locate(0.4) == ("inside", 2)
         assert region.locate(0.2) == ("outside", None)
 
-    @pytest.mark.parametrize("n", [2, 4, 9, 21])
-    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
-    def test_locate_is_scale_free(self, n, a):
-        # With the tolerance taken relative to a, as optimal_design and
-        # certify pass it, (n, a, z) and (n, 1, z / a) are classified alike:
-        # on the endpoints, within and beyond 1e-10 of them, and in between.
+    @staticmethod
+    def _unit_targets(n):
+        # On the finite endpoints of the unit region, within and beyond
+        # 1e-10 of them, and in between.
         unit = admissible_region(DesignProblem(n, 1.0))
-        scaled = admissible_region(DesignProblem(n, a))
         ends = [e for iv in unit.intervals for e in iv if math.isfinite(e)]
         us = [e + d for e in ends
               for d in (0.0, 5e-11, -5e-11, 2e-10, -2e-10, 1e-3, -1e-3)]
-        us += [-1.0, 0.0, 0.5, 2.0]
-        for u in us:
+        return us + [-1.0, 0.0, 0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("n", [2, 4, 9, 21])
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
+    def test_locate_is_scale_free(self, n, a):
+        # The boundary band is relative to a, so (n, a, z) and (n, 1, z / a)
+        # are classified alike.
+        unit = admissible_region(DesignProblem(n, 1.0))
+        scaled = admissible_region(DesignProblem(n, a))
+        for u in self._unit_targets(n):
             z = u * a
-            got = scaled.locate(z, 1e-10 * a)
-            want = unit.locate(z / a, 1e-10)
+            got = scaled.locate(z)
+            want = unit.locate(z / a)
             assert got[0] == want[0], (u, got, want)
             if got[0] == "boundary":
                 assert got[1] / a == pytest.approx(want[1], rel=1e-12)
             else:
                 assert got[1] == want[1]
+
+    @pytest.mark.parametrize("n", [2, 4, 9, 21])
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
+    def test_membership_agrees_with_optimal_design(self, n, a):
+        # u = 1 puts z = a on the grid: for n = 21, a = 1e-8 that is just
+        # above the last interval's lower end, covered by optimal_design.
+        pr = DesignProblem(n, a)
+        region = admissible_region(pr)
+        for u in self._unit_targets(n):
+            z = u * a
+            try:
+                optimal_design(pr, z)
+                covered = True
+            except (NotCovered, BoundaryPoint):
+                covered = False
+            assert (z in region) == covered, (u, z)
 
 
 class TestOptimalDesign:

@@ -210,7 +210,7 @@ class TestCertify:
 
 class TestCertifyCache:
     """The z-independent part of certify is computed once per
-    (problem, grid_points, tol_root)."""
+    (problem, grid_points)."""
 
     PROBLEM = DesignProblem(4, 1.0)
     TARGETS = (-0.5, 0.03, 0.25, 0.3, 0.68, 0.95, 1.4)
@@ -243,12 +243,11 @@ class TestCertifyCache:
         d = optimal_design(self.PROBLEM, z)
         base = certify(self.PROBLEM, z, d)
         coarse = certify(self.PROBLEM, z, d, grid_points=11)
-        loose = certify(self.PROBLEM, z, d, tol_root=1e-9)
-        assert _extremal_cached.cache_info().misses == 3
-        assert _extremal_cached.cache_info().currsize == 3
-        assert base.p == coarse.p == loose.p
+        assert _extremal_cached.cache_info().misses == 2
+        assert _extremal_cached.cache_info().currsize == 2
+        assert base.p == coarse.p
         certify(self.PROBLEM, z, d, grid_points=11)
-        assert _extremal_cached.cache_info().misses == 3
+        assert _extremal_cached.cache_info().misses == 2
 
 
 def _mutated_designs(seed: int, count: int) -> list:
