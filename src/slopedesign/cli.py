@@ -2,8 +2,8 @@
 
 Every successful structured command prints exactly one JSON document on
 stdout; ``plotdata`` prints CSV.  Diagnostics go to stderr.  Exit codes:
-0 success, 2 target point not covered, 64 usage, 65 bad input data,
-70 internal numerical failure.
+0 success (also when the reader closes stdout early), 2 target point not
+covered, 64 usage, 65 bad input data, 70 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -339,7 +340,16 @@ def main(argv=None) -> int:
     elif getattr(args, "z", "absent") is None:
         parser.error(f"{args.command} requires --z")
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # A reader that closed the pipe shows here rather than in the
+        # interpreter's final flush, which would print a traceback.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped reading (`plotdata ... | head`), which is its
+        # choice and not an error.  Later flushes go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except _UsageExit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,6 +15,7 @@ that the closed form does not extend there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +29,8 @@ class Infeasible(Exception):
 
 
 class NumericalFailure(RuntimeError):
-    """The simplex exceeded its iteration cap (hard bug signal)."""
+    """The simplex exceeded its iteration cap or ended on a singular basis
+    (hard bug signal)."""
 
 
 class SingularSupport(ValueError):
@@ -85,6 +87,8 @@ class OracleReport:
 # --- dense-tableau primal simplex with Bland's rule --------------------------
 
 _PIVOT_TOL = 1e-11
+_MAX_ITER = 50000
+_TOL = 1e-9
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -129,30 +133,20 @@ def _simplex_loop(tableau: np.ndarray, basis: list[int], ncols: int,
     raise NumericalFailure("simplex iteration cap exceeded")
 
 
-def simplex_minimize(cost, A, b, max_iter: int = 50000,
-                     tol: float = 1e-9) -> tuple[np.ndarray, float]:
-    """Solve min cost.x subject to A x = b, x >= 0 (two-phase primal).
-
-    Deterministic dense tableau; raises :class:`Infeasible` when the phase-1
-    objective stays positive and :class:`NumericalFailure` on the iteration
-    cap.
-    """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    cost = np.asarray(cost, dtype=float)
+def _two_phase(cost, A, b, max_iter: int,
+               tol: float) -> tuple[list[int], list[int]]:
+    """Optimal basis of min cost.x, A x = b, x >= 0, from the artificial
+    basis, and the rows of A it spans (redundant rows are dropped)."""
     m, k = A.shape
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-
+    sign = np.where(b < 0, -1.0, 1.0)
     tableau = np.zeros((m + 1, k + m + 1))
-    tableau[:m, :k] = A
+    tableau[:m, :k] = A * sign[:, None]
     tableau[:m, k:k + m] = np.eye(m)
-    tableau[:m, -1] = b
+    tableau[:m, -1] = b * sign
     basis = list(range(k, k + m))
     # Phase-1 reduced costs for the artificial basis.
-    tableau[m, :k] = -A.sum(axis=0)
-    tableau[m, -1] = -b.sum()
+    tableau[m, :k] = -tableau[:m, :k].sum(axis=0)
+    tableau[m, -1] = -tableau[:m, -1].sum()
     _simplex_loop(tableau, basis, k + m, max_iter, tol)
     if -tableau[m, -1] > 1e-7 * max(1.0, abs(b).max()):
         raise Infeasible("right-hand side is outside the feasible cone")
@@ -168,20 +162,121 @@ def simplex_minimize(cost, A, b, max_iter: int = 50000,
         if nz.size:
             _pivot(tableau, basis, i, int(nz[0]))
             keep.append(i)
-    tableau = np.vstack([tableau[keep], tableau[-1:]])
-    basis = [basis[i] for i in keep]
+    if len(keep) < m:
+        tableau = tableau[keep + [m]]
+        basis = [basis[i] for i in keep]
+    # The artificial columns stay in the tableau but can no longer enter.
+    _phase2(tableau, basis, cost, max_iter, tol)
+    return basis, keep
 
-    tableau = np.hstack([tableau[:, :k], tableau[:, -1:]])
+
+def _phase2(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
+            max_iter: int, tol: float) -> None:
+    # The tableau holds B^-1 A and B^-1 b for a primal-feasible basis B.
     rows = tableau[:-1]
+    k = cost.size
     tableau[-1, :k] = cost - cost[basis] @ rows[:, :k]
     tableau[-1, -1] = -float(cost[basis] @ rows[:, -1])
     _simplex_loop(tableau, basis, k, max_iter, tol)
 
-    x = np.zeros(k)
-    for i, j in enumerate(basis):
-        x[j] = tableau[i, -1]
+
+def _basic_solution(A: np.ndarray, b: np.ndarray, basis: list[int],
+                    rows: list[int]) -> np.ndarray:
+    # One solve on the sorted basis, so that x depends only on the basis the
+    # simplex ends on and not on the pivots that led there.
+    order = sorted(basis)
+    x = np.zeros(A.shape[1])
+    try:
+        x[order] = np.linalg.solve(A[np.ix_(rows, order)], b[rows])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"singular final basis: {exc}") from exc
     np.maximum(x, 0.0, out=x)
+    return x
+
+
+def simplex_minimize(cost, A, b, max_iter: int = _MAX_ITER,
+                     tol: float = _TOL) -> tuple[np.ndarray, float]:
+    """Solve min cost.x subject to A x = b, x >= 0 (two-phase primal).
+
+    Deterministic dense tableau; x comes from one linear solve on the sorted
+    optimal basis.  Raises :class:`Infeasible` when the phase-1 objective
+    stays positive and :class:`NumericalFailure` on the iteration cap.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    basis, rows = _two_phase(cost, A, b, max_iter, tol)
+    x = _basic_solution(A, b, basis, rows)
     return x, float(cost @ x)
+
+
+def _divide_powers(c, scale: float) -> np.ndarray:
+    # c_k / scale^k, k = 1..n, by k successive divisions: scale^k itself
+    # overflows long before the quotient does.
+    out = np.array(c, dtype=float)
+    with np.errstate(all="ignore"):
+        for k in range(out.size):
+            out[k:] /= scale
+    if not np.all(np.isfinite(out)):
+        raise OverflowError("c_k / scale^k overflows")
+    return out
+
+
+class _GridLP:
+    """The grid LP of one problem: min sum(x) subject to [U, -U] x = rhs,
+    x >= 0, with U[k-1, j] = u_j^k on the unit grid u = x / a, and the
+    optimal basis of the last solve.
+
+    Only the right-hand side depends on the target, and the costs never
+    change, so a later target restarts from the last optimal basis: basic
+    columns that went negative are swapped for their mirrors, which leaves
+    the basis primal feasible, and phase 2 runs only if pricing finds a
+    negative reduced cost (Chvatal, Linear Programming, 1983, ch. 10).
+    """
+
+    def __init__(self, problem: DesignProblem, grid: GridSpec):
+        self.points = np.unique(np.concatenate(
+            [grid.points(problem), np.asarray(support_points(problem))]))
+        u = self.points / problem.a
+        cols = np.vander(u, problem.n + 1, increasing=True)[:, 1:].T
+        self.matrix = np.hstack([cols, -cols])
+        self.basis: list[int] | None = None
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The optimal x; the first solve runs the cold two-phase simplex."""
+        cost = np.ones(self.matrix.shape[1])
+        if self.basis is None:
+            basis, rows = _two_phase(cost, self.matrix, rhs, _MAX_ITER, _TOL)
+        else:
+            basis, rows = self._restart(rhs, cost), list(range(rhs.size))
+        x = _basic_solution(self.matrix, rhs, basis, rows)
+        self.basis = basis if len(rows) == rhs.size else None
+        return x
+
+    def _restart(self, rhs: np.ndarray, cost: np.ndarray) -> list[int]:
+        A = self.matrix
+        half = A.shape[1] // 2
+        basis = np.array(self.basis)
+        x_b = np.linalg.solve(A[:, basis], rhs)
+        neg = x_b < 0
+        basis[neg] = (basis[neg] + half) % (2 * half)
+        B = A[:, basis]
+        y = np.linalg.solve(B.T, cost[basis])
+        # Reduced costs are 1 - y.f(u_j) and 1 + y.f(u_j) for the mirror.
+        if 1.0 - np.abs(y @ A[:, :half]).max() >= -_TOL:
+            return basis.tolist()
+        tableau = np.empty((rhs.size + 1, A.shape[1] + 1))
+        tableau[:-1, :-1] = np.linalg.solve(B, A)
+        tableau[:-1, basis] = np.eye(rhs.size)
+        tableau[:-1, -1] = np.abs(x_b)
+        basis = basis.tolist()
+        _phase2(tableau, basis, cost, _MAX_ITER, _TOL)
+        return basis
+
+
+@lru_cache(maxsize=1)
+def _grid_lp(problem: DesignProblem, grid: GridSpec) -> _GridLP:
+    return _GridLP(problem, grid)
 
 
 def lp_c_optimal(problem: DesignProblem, c,
@@ -190,29 +285,26 @@ def lp_c_optimal(problem: DesignProblem, c,
 
     Writes c as h * (convex combination of +/- f(x_i)) with minimal h over the
     uniform grid augmented with the exact closed-form support points; the
-    optimal variance over that support set is h^2.  Rows are rescaled by the
-    largest |f_j| on the grid to keep pivots well conditioned.
+    optimal variance over that support set is h^2.  The LP is posed on the
+    unit interval, with columns u^k for u = x / a and right-hand side
+    c_k / a^k, so its entries are at most 1 whatever a is.  The LP of the
+    last problem and grid is kept, and a new target restarts from its
+    optimal basis.
     """
-    n, a = problem.n, problem.a
+    n = problem.n
     c = np.asarray(c, dtype=float)
     if c.shape != (n,) or not np.any(c):
         raise ValueError("c must be a nonzero vector of length n")
     if grid.m < n + 1:
         raise ValueError("grid must have at least n+1 points")
-    pts = np.unique(np.concatenate([grid.points(problem),
-                                    np.asarray(support_points(problem))]))
-    big_f = np.vander(pts, n + 1, increasing=True)[:, 1:].T  # rows f_1..f_n
-    scale = np.abs(big_f).max(axis=1)
-    A = np.hstack([big_f, -big_f]) / scale[:, None]
-    with np.errstate(all="ignore"):
-        rhs = c / scale
-    if not np.all(np.isfinite(rhs)):
-        raise OverflowError("the LP right-hand side c / scale overflows")
-    x, h = simplex_minimize(np.ones(2 * pts.size), A, rhs)
+    rhs = _divide_powers(c, problem.a)
+    lp = _grid_lp(problem, grid)
+    x = lp.solve(rhs)
+    pts = lp.points
     mass = x[:pts.size] + x[pts.size:]
     sel = mass > 1e-12 * mass.sum()
     w = mass[sel] / mass[sel].sum()
-    return h, Design(pts[sel], w)
+    return float(x.sum()), Design(pts[sel], w)
 
 
 def restricted_weights(support, c) -> tuple[float, tuple[float, ...]]:
@@ -227,14 +319,17 @@ def restricted_weights(support, c) -> tuple[float, tuple[float, ...]]:
     n = c.size
     if s.size != n:
         raise ValueError("support size must match the length of c")
-    tol = 1e-12 * np.max(np.abs(s))
+    smax = np.max(np.abs(s))
+    tol = 1e-12 * smax
     if np.any(np.abs(s) <= tol):
         raise SingularSupport("a support point sits at 0, where f vanishes")
     if n > 1 and np.min(np.diff(np.sort(s))) <= tol:
         raise SingularSupport("support points coincide within 1e-12 * max|s|")
-    big_f = np.vander(s, n + 1, increasing=True)[:, 1:].T
+    # F(s) beta = c and F(s / smax) beta = (c_k / smax^k) have the same
+    # beta, and the second system cannot overflow.
+    big_f = np.vander(s / smax, n + 1, increasing=True)[:, 1:].T
     try:
-        beta = np.linalg.solve(big_f, c)
+        beta = np.linalg.solve(big_f, _divide_powers(c, smax))
     except np.linalg.LinAlgError as exc:
         raise SingularSupport(str(exc)) from exc
     total = float(np.sum(np.abs(beta)))
@@ -248,7 +343,8 @@ def compare(problem: DesignProblem, z: float,
     Inside the region the LP must match the closed form within 1e-2 relative
     (grid discretization) and the restricted route within 1e-9; outside, the
     report exposes the LP-vs-restricted gap against ``margin_threshold``, a
-    grid-resolution allowance max(1e-6, 3 * spacing^2 * curvature proxy).
+    grid-resolution allowance max(1e-6, 3 * lp_variance * (n * spacing / a)^2),
+    written with spacing / a so that no power of a is formed.
     """
     n, a = problem.n, problem.a
     c = slope_vector(n, z)
@@ -261,7 +357,8 @@ def compare(problem: DesignProblem, z: float,
     restricted_var, _ = restricted_weights(support_points(problem), c)
 
     spacing = a * grid.spacing_fraction
-    margin_threshold = max(1e-6, 3.0 * spacing ** 2 * lp_var * (n / a) ** 2)
+    margin_threshold = max(1e-6,
+                           3.0 * lp_var * (n * grid.spacing_fraction) ** 2)
 
     if closed is None:
         return OracleReport(False, None, lp_var, restricted_var, lp_design,

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,7 @@ from slopedesign.cli import main
 
 SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -236,6 +241,20 @@ class TestPlotdataCommand:
         assert out1.endswith("\n")
 
 
+def test_reader_closing_the_pipe_exits_0_silently():
+    # `plotdata ... | head -1`: the reader stops long before the last row.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slopedesign.cli", "plotdata", "--n", "4",
+         "--a", "1", "--what", "extremal", "--samples", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"x,S\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
+
+
 class TestInternalErrors:
     def test_numerical_failure_maps_to_exit_70(self, capsys, monkeypatch):
         from slopedesign import cli
@@ -424,10 +443,12 @@ class TestOracleExtremeScales:
     @pytest.mark.parametrize("n,a,z", [("2", "1e-8", "1e300"),
                                        ("4", "1e-8", "1e100"),
                                        ("2", "1e80", "1e300"),
-                                       ("3", "3140", "2.3066102291535913e+81")])
+                                       ("3", "3140", "2.3066102291535913e+81"),
+                                       ("3", "1e200", "0.5")])
     def test_out_of_range_target(self, capsys, n, a, z):
         # The LP right-hand side, the closed-form weights or a variance of
-        # the report overflow.
+        # the report overflow.  At a = 1e200 the LP is fine and the
+        # closed-form variance, still in monomials, overflows.
         code, out, err = run(capsys, "oracle", "--n", n, "--a", a, "--z", z)
         assert code == 64
         assert out == ""

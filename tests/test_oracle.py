@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from slopedesign.designs import (DesignProblem, support_points,
-                                 weight_functions, weights_at)
+from slopedesign import oracle
+from slopedesign.designs import (DesignProblem, admissible_region,
+                                 support_points, weight_functions, weights_at)
 from slopedesign.elfving import slope_vector
 from slopedesign.oracle import (GridSpec, Infeasible, NumericalFailure,
                                 OracleReport, SingularSupport, compare,
@@ -206,7 +207,96 @@ class TestCompare:
             rep = compare(DesignProblem(3, 1.0), z, GridSpec(401))
             assert rep.restricted_variance >= rep.lp_variance - 1e-9
 
+    @pytest.mark.parametrize("a", [1e-8, 1e6, 1e8])
+    def test_agrees_far_from_unit_scale(self, a):
+        # The LP and the restricted route work on [0, 1]; in powers of x
+        # the restricted weights were off by 3e-4 at n = 8, a = 1e6.
+        problem = DesignProblem(8, a)
+        for z in _targets(problem):
+            rep = compare(problem, z)
+            assert rep.agrees or not rep.covered
+
     def test_as_dict_parallel_arrays(self):
         doc = compare(DesignProblem(2, 1.0), 0.9, GridSpec(201)).as_dict()
         assert set(doc["lp_design"]) == {"points", "weights"}
         assert len(doc["lp_design"]["points"]) == len(doc["lp_design"]["weights"])
+
+
+def _targets(problem):
+    """One target inside each admissible interval and one in each gap,
+    ascending."""
+    a = problem.a
+    intervals = admissible_region(problem).intervals
+    zs = []
+    for lo, hi in intervals:
+        if math.isinf(lo):
+            lo = (hi if math.isfinite(hi) else a) - a
+        if math.isinf(hi):
+            hi = lo + a
+        zs.append(0.5 * (lo + hi))
+    for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
+        if lo > hi:
+            zs.append(0.5 * (hi + lo))
+    return sorted(zs)
+
+
+class TestWarmStart:
+    """A later target of the same problem and grid restarts from the last
+    optimal basis; its result depends only on the basis it ends on."""
+
+    @pytest.mark.parametrize("a", [0.1, 1.0, 2.0])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_warm_matches_cold(self, n, a):
+        problem, grid = DesignProblem(n, a), GridSpec()
+        zs = _targets(problem)
+        oracle._grid_lp.cache_clear()
+        warm = []
+        for z in zs:
+            h, d = lp_c_optimal(problem, slope_vector(n, z), grid)
+            warm.append((h, d, sorted(oracle._grid_lp(problem, grid).basis)))
+        for z, (h, d, basis) in zip(zs, warm):
+            oracle._grid_lp.cache_clear()
+            h_cold, d_cold = lp_c_optimal(problem, slope_vector(n, z), grid)
+            if sorted(oracle._grid_lp(problem, grid).basis) == basis:
+                assert (h, d) == (h_cold, d_cold)
+            else:
+                assert h ** 2 == pytest.approx(h_cold ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("z1,z2", [(0.95, 0.5), (0.5, 0.95), (0.1, 0.5)])
+    def test_previous_target_leaves_no_trace(self, z1, z2):
+        problem = DesignProblem(4, 1.0)
+        oracle._grid_lp.cache_clear()
+        alone = compare(problem, z2)
+        oracle._grid_lp.cache_clear()
+        compare(problem, z1)
+        assert compare(problem, z2) == alone
+
+    def test_one_cached_problem_whose_first_call_runs_cold(self, monkeypatch):
+        cold = []
+        real = oracle._two_phase
+
+        def counted(*args):
+            cold.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_two_phase", counted)
+        oracle._grid_lp.cache_clear()
+        p, q = DesignProblem(3, 1.0), DesignProblem(3, 2.0)
+        steps = [(p, 401, 1), (p, 401, 1), (p, 201, 2), (p, 201, 2),
+                 (q, 201, 3), (q, 201, 3), (p, 401, 4)]
+        for k, (problem, m, cold_runs) in enumerate(steps):
+            compare(problem, (0.4 if k % 2 else 0.9) * problem.a, GridSpec(m))
+            assert len(cold) == cold_runs
+            assert oracle._grid_lp.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("a", [1e-100, 1e100])
+    def test_scale_equivariant(self, a):
+        c1 = slope_vector(3, 0.5)
+        h1, _ = lp_c_optimal(DesignProblem(3, 1.0), c1)
+        var1, _ = restricted_weights(support_points(DesignProblem(3, 1.0)), c1)
+        problem = DesignProblem(3, a)
+        c = slope_vector(3, a / 2)
+        h, _ = lp_c_optimal(problem, c)
+        var, _ = restricted_weights(support_points(problem), c)
+        assert h * a == pytest.approx(h1, rel=1e-12)
+        assert var * a * a == pytest.approx(var1, rel=1e-12)
