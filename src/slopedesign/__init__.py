@@ -8,9 +8,8 @@ from .designs import (AdmissibleRegion, BoundaryPoint, Design, DesignProblem,
                       NotCovered, admissible_region, basis_derivatives,
                       lagrange_basis, optimal_design, support_points,
                       weight_functions, weights_at)
-from .elfving import (ElfvingCertificate, InfoMatrix, ZOutsideRegion, certify,
-                      extremal_polynomial, extremal_value, info_matrix,
-                      monomial_features, slope_vector, variance)
+from .elfving import (ElfvingCertificate, ZOutsideRegion, certify,
+                      extremal_polynomial, extremal_value, variance)
 from .polynomial import Degenerate, Poly, chebyshev_T
 
 __version__ = "0.1.0"
@@ -34,13 +33,13 @@ def __getattr__(name):
 
 
 __all__ = [
-    "AdmissibleRegion", "BoundaryPoint", "Degenerate", "Design", "DesignProblem", "ElfvingCertificate", "GridSpec", "Infeasible",
-    "InfoMatrix", "NotCovered", "NumericalFailure", "OracleReport", "Poly",
+    "AdmissibleRegion", "BoundaryPoint", "Degenerate", "Design",
+    "DesignProblem", "ElfvingCertificate", "GridSpec", "Infeasible",
+    "NotCovered", "NumericalFailure", "OracleReport", "Poly",
     "SingularSupport", "ZOutsideRegion", "admissible_region",
     "basis_derivatives", "certify", "chebyshev_T", "compare",
-    "extremal_polynomial", "extremal_value", "info_matrix", "lagrange_basis",
-    "lp_c_optimal", "monomial_features", "optimal_design",
-    "restricted_weights", "simplex_minimize", "slope_vector",
+    "extremal_polynomial", "extremal_value", "lagrange_basis", "lp_c_optimal",
+    "optimal_design", "restricted_weights", "simplex_minimize",
     "support_points", "variance", "weight_functions", "weights_at",
     "__version__",
 ]

@@ -15,10 +15,10 @@ import os
 import re
 import sys
 
+from . import basis
 from .designs import (BoundaryPoint, DesignProblem, Design, NotCovered,
                       admissible_region, basis_derivatives, optimal_design)
-from .elfving import (ZOutsideRegion, _slope, certify, extremal_value,
-                      slope_vector, variance)
+from .elfving import ZOutsideRegion, certify, extremal_value, variance
 from .polynomial import Degenerate
 
 EXIT_OK = 0
@@ -96,7 +96,7 @@ class _UsageExit(Exception):
 
 
 def _require_finite(z: float, values) -> None:
-    # A target of huge magnitude overflows the powers of z; no JSON number
+    # A target of huge magnitude overflows the slope vector; no JSON number
     # can carry the result.
     if not all(math.isfinite(v) for v in values):
         raise _UsageExit(f"z={z!r} is out of range: its slope vector, "
@@ -209,8 +209,8 @@ def _cmd_check(args) -> int:
         raise _DataError(f"invalid design: {exc}") from exc
     inputs = {"n": args.n, "a": args.a, "z": args.z, "design": args.design,
               "grid": args.grid, "tol_cert": args.tol_cert}
-    _require_finite(args.z, _slope(args.n, args.z))
-    var = variance(design, slope_vector(args.n, args.z))
+    _require_finite(args.z, basis.slope(args.n, args.z / args.a))
+    var = variance(problem, design, args.z)
     try:
         cert = certify(problem, args.z, design, grid_points=args.grid,
                        tol=args.tol_cert)
@@ -239,7 +239,7 @@ def _cmd_oracle(args) -> int:
     from .oracle import Infeasible, NumericalFailure, SingularSupport
     problem = _problem(args)
     _check_grid_and_targets(args, args.n + 1)
-    _require_finite(args.z, _slope(args.n, args.z))
+    _require_finite(args.z, basis.slope(args.n, args.z / args.a))
     try:
         report = compare(problem, args.z, args.grid)
     except OverflowError as exc:
@@ -289,7 +289,7 @@ def _add_common(p, with_z=True, with_tols=True):
     if with_z:
         p.add_argument("--z", type=float, help="target point for the slope")
     if with_tols:
-        p.add_argument("--tol-cert", dest="tol_cert", type=float, default=1e-8,
+        p.add_argument("--tol-cert", dest="tol_cert", type=float, default=1e-10,
                        help="certificate margin tolerance (finite, > 0)")
         p.add_argument("--grid", type=int, default=2001,
                        help="grid points for certificate / oracle checks")

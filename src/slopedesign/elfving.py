@@ -1,11 +1,12 @@
-"""Information matrices, the variance functional, and optimality certificates.
+"""The variance functional and optimality certificates.
 
 A design is optimal for estimating c^T theta exactly when a polynomial in the
 model span stays within [-1, 1] on the design space, hits +/-1 at every
 support point, and reproduces c through the weighted support representation
 c = h * sum_i w_i f(x_i) * value_i.  The certificate here evaluates all three
 conditions numerically and reports the margins; when it verifies, h^2 equals
-the optimal variance.
+the optimal variance.  The numerical checks work in the unit basis of
+:mod:`slopedesign.basis`.
 """
 
 from __future__ import annotations
@@ -13,16 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
+from . import basis
 from .designs import (Design, DesignProblem, admissible_region,
                       basis_derivatives, support_points)
 from .polynomial import Poly, chebyshev_T
 
-# numpy is imported inside the functions that build arrays only, so that the
-# certificate and the closed form run without it.
-if TYPE_CHECKING:
-    import numpy as np
+# numpy is imported inside variance only, so that the certificate and the
+# closed form run without it.
 
 
 class ZOutsideRegion(Exception):
@@ -32,46 +31,6 @@ class ZOutsideRegion(Exception):
         super().__init__(f"z={z!r} is not interior to the admissible region")
         self.z = z
         self.region = region
-
-
-def monomial_features(n: int, x: float) -> np.ndarray:
-    """The model vector (x, x^2, ..., x^n)."""
-    import numpy as np
-    return np.power(float(x), np.arange(1, n + 1))
-
-
-def slope_vector(n: int, z: float) -> np.ndarray:
-    """Derivative of the model vector: c = (1, 2z, ..., n z^(n-1))."""
-    import numpy as np
-    k = np.arange(1, n + 1)
-    return k * np.power(float(z), k - 1)
-
-
-def _slope(n: int, z: float) -> list[float]:
-    # slope_vector on plain floats.  The powers are repeated products, which
-    # overflow to inf without raising or warning.
-    c, zk = [], 1.0
-    for k in range(1, n + 1):
-        c.append(k * zk)
-        zk *= z
-    return c
-
-
-@dataclass(frozen=True)
-class InfoMatrix:
-    """Symmetric PSD moment matrix M[j,k] = sum_i w_i x_i^(j+k), j,k in 1..n."""
-
-    entries: np.ndarray
-
-    def __init__(self, entries: np.ndarray):
-        import numpy as np
-        m = np.asarray(entries, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -107,46 +66,42 @@ class ElfvingCertificate:
         }
 
 
-def info_matrix(design: Design, n: int) -> InfoMatrix:
-    """Moment matrix of a design in the degree-n model without intercept."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    import numpy as np
-    pts = np.asarray(design.points)
-    w = np.asarray(design.weights)
-    v = np.vander(pts, n + 1, increasing=True)[:, 1:]  # columns x^1..x^n
-    return InfoMatrix(v.T @ (w[:, None] * v))
+_RTOL = 1e-8  # variance: the estimability bound on the relative residual
 
 
-def variance(design: Design, c, rtol: float = 1e-8) -> float:
-    """c^T M^- c for the design's moment matrix; +inf when c is not estimable.
+def _unit_slope(problem: DesignProblem, z: float) -> tuple[list, float]:
+    # The slope in the unit basis divided by its largest entry, so that no
+    # norm or product of it overflows, and the factor that turns h for it
+    # into h for f'(z).
+    c = basis.slope(problem.n, z / problem.a)
+    scale = max(abs(ck) for ck in c)
+    if not math.isfinite(scale):
+        raise OverflowError("the slope vector is not finite")
+    return [ck / scale for ck in c], scale / problem.a
 
-    Estimability is decided by the relative least-squares residual (threshold
-    ``rtol``); the value is independent of the generalized-inverse choice.
-    Internally the quadratic form is evaluated through the weighted
-    square-root factor of M = B^T B with row equilibration, which halves the
-    condition number exponent compared to solving with M directly: the
-    minimum-norm solution of B^T y = c gives c^T M^- c = |y|^2.  Raises
-    :class:`OverflowError` when the scaled system is not finite, such as
-    when the powers of a support point overflow.
+
+def variance(problem: DesignProblem, design: Design, z: float) -> float:
+    """c^T M^- c for the slope c = f'(z); +inf when c is not estimable.
+
+    Evaluated in the unit basis of :mod:`slopedesign.basis` through the
+    weighted square-root factor of M = B^T B: the minimum-norm solution of
+    B^T y = c gives c^T M^- c = |y|^2, whatever the generalized inverse.  c
+    is not estimable when the relative least-squares residual exceeds 1e-8.
+    Raises :class:`OverflowError` when the system is not finite, such as
+    when a design point lies far outside [0, a].
     """
     import numpy as np
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    pts = np.asarray(design.points)
-    w = np.asarray(design.weights)
+    c, factor = _unit_slope(problem, z)
     with np.errstate(over="ignore", invalid="ignore"):
-        bt = np.vander(pts, n + 1, increasing=True)[:, 1:].T * np.sqrt(w)
-        row_scale = np.abs(bt).max(axis=1)
-        row_scale[row_scale == 0.0] = 1.0
-        r = bt / row_scale[:, None]
-        rhs = c / row_scale
-    if not (np.isfinite(r).all() and np.isfinite(rhs).all()):
-        raise OverflowError("the scaled moment system is not finite")
-    y, *_ = np.linalg.lstsq(r, rhs, rcond=None)
-    if np.linalg.norm(r @ y - rhs) > rtol * np.linalg.norm(rhs):
+        u = np.asarray(design.points) / problem.a
+        bt = np.array(basis.values(problem.n, u)) * np.sqrt(design.weights)
+    if not np.isfinite(bt).all():
+        raise OverflowError("the moment system is not finite")
+    y, *_ = np.linalg.lstsq(bt, c, rcond=None)
+    if np.linalg.norm(bt @ y - c) > _RTOL * np.linalg.norm(c):
         return math.inf
-    return float(y @ y)
+    root = float(np.linalg.norm(y)) * factor
+    return root * root
 
 
 def extremal_polynomial(problem: DesignProblem) -> Poly:
@@ -195,7 +150,7 @@ def _extremal_cached(problem: DesignProblem,
 
 def certify(problem: DesignProblem, z: float, design: Design,
             grid_points: int = 2001,
-            tol: float = 1e-8) -> ElfvingCertificate:
+            tol: float = 1e-10) -> ElfvingCertificate:
     """Evaluate the three optimality conditions for ``design`` at target z.
 
     h is (-1)^(n+j) * sum_i |L_i'(z)| for the interval index j containing z
@@ -206,8 +161,12 @@ def certify(problem: DesignProblem, z: float, design: Design,
     support points inside (0, a)), which pins the sup-norm.  Neither the
     extremal polynomial nor this condition-1 margin depends on z or on the
     design, so both are computed once per (problem, grid_points) and
-    cached; conditions (2) and (3) are evaluated on every call.  z is located
-    in the region as in :func:`~slopedesign.designs.optimal_design`.
+    cached; conditions (2) and (3) are evaluated on every call.  Condition
+    (3) is checked in the unit basis of :mod:`slopedesign.basis`: each row
+    |g_k'(u_z) - a h sum_i w_i v_i g_k(u_i)| is divided by the size of its
+    terms, |g_k'(u_z)| + a h sum_i |w_i g_k(u_i)|, so its margin has no
+    units.  Every margin is compared with ``tol``.  z is located in the
+    region as in :func:`~slopedesign.designs.optimal_design`.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
@@ -228,19 +187,23 @@ def certify(problem: DesignProblem, z: float, design: Design,
     vals = [sign * extremal_value(problem, x) for x in design.points]
     cond2 = tuple(abs(abs(v) - 1.0) for v in vals)
 
-    # Condition 3 on n-vectors: c = h * rep with rep_k = sum w v x^k.
-    c = _slope(n, z)
-    rep = [0.0] * n
+    # Condition 3 in the unit basis, row by row: g'(u_z) = a h sum_i w_i v_i
+    # g(u_i), each row relative to the size of its own terms.
+    a = problem.a
+    ah = a * h
+    c = basis.slope(n, z / a)
+    rep, size = [0.0] * n, [0.0] * n
     for x, w, v in zip(design.points, design.weights, vals):
-        wv, xk = w * v, x
-        for k in range(n):
-            rep[k] += wv * xk
-            xk *= x
-    res = [abs(ck - h * rk) for ck, rk in zip(c, rep)]
+        wv = w * v
+        for k, g in enumerate(basis.values(n, x / a)):
+            rep[k] += wv * g
+            size[k] += abs(w * g)
+    # A row whose terms are all zero holds exactly; `or 1.0` keeps it at 0.
+    res = [abs(ck - ah * rk) / (abs(ck) + ah * sk or 1.0)
+           for ck, rk, sk in zip(c, rep, size)]
     # max() may pass over a nan; an overflowed residual has to stay nan.
     cond3 = math.nan if any(math.isnan(r) for r in res) else max(res)
 
-    ok = (cond1 <= tol and all(r <= tol for r in cond2)
-          and cond3 <= tol * (1.0 + max(abs(ck) for ck in c)))
+    ok = (cond1 <= tol and all(r <= tol for r in cond2) and cond3 <= tol)
     return ElfvingCertificate(p, h, cond1, cond2, cond3,
                               "verified" if ok else "failed")

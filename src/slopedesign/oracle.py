@@ -19,9 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import basis as unit_basis  # `basis` names the LP basis here
 from .designs import (BoundaryPoint, Design, DesignProblem, NotCovered,
                       optimal_design, support_points)
-from .elfving import slope_vector, variance
+from .elfving import _unit_slope, variance
 
 
 class Infeasible(Exception):
@@ -210,22 +211,10 @@ def simplex_minimize(cost, A, b, max_iter: int = _MAX_ITER,
     return x, float(cost @ x)
 
 
-def _divide_powers(c, scale: float) -> np.ndarray:
-    # c_k / scale^k, k = 1..n, by k successive divisions: scale^k itself
-    # overflows long before the quotient does.
-    out = np.array(c, dtype=float)
-    with np.errstate(all="ignore"):
-        for k in range(out.size):
-            out[k:] /= scale
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("c_k / scale^k overflows")
-    return out
-
-
 class _GridLP:
-    """The grid LP of one problem: min sum(x) subject to [U, -U] x = rhs,
-    x >= 0, with U[k-1, j] = u_j^k on the unit grid u = x / a, and the
-    optimal basis of the last solve.
+    """The grid LP of one problem: min sum(x) subject to [G, -G] x = rhs,
+    x >= 0, with G[k-1, j] = g_k(u_j) of :mod:`slopedesign.basis` on the
+    unit grid u = x / a, and the optimal basis of the last solve.
 
     Only the right-hand side depends on the target, and the costs never
     change, so a later target restarts from the last optimal basis: basic
@@ -237,8 +226,7 @@ class _GridLP:
     def __init__(self, problem: DesignProblem, grid: GridSpec):
         self.points = np.unique(np.concatenate(
             [grid.points(problem), np.asarray(support_points(problem))]))
-        u = self.points / problem.a
-        cols = np.vander(u, problem.n + 1, increasing=True)[:, 1:].T
+        cols = np.array(unit_basis.values(problem.n, self.points / problem.a))
         self.matrix = np.hstack([cols, -cols])
         self.basis: list[int] | None = None
 
@@ -251,6 +239,13 @@ class _GridLP:
             basis, rows = self._restart(rhs, cost), list(range(rhs.size))
         x = _basic_solution(self.matrix, rhs, basis, rows)
         self.basis = basis if len(rows) == rhs.size else None
+        # The optimal bases of a degenerate optimum differ in columns at 0;
+        # solving on the positive columns makes x the same for all of them.
+        support = np.flatnonzero(x > 1e-12 * x.sum())
+        if support.size < len(basis):
+            x = np.zeros_like(x)
+            x[support] = np.linalg.lstsq(self.matrix[:, support], rhs,
+                                         rcond=None)[0]
         return x
 
     def _restart(self, rhs: np.ndarray, cost: np.ndarray) -> list[int]:
@@ -262,7 +257,7 @@ class _GridLP:
         basis[neg] = (basis[neg] + half) % (2 * half)
         B = A[:, basis]
         y = np.linalg.solve(B.T, cost[basis])
-        # Reduced costs are 1 - y.f(u_j) and 1 + y.f(u_j) for the mirror.
+        # Reduced costs are 1 - y.g(u_j) and 1 + y.g(u_j) for the mirror.
         if 1.0 - np.abs(y @ A[:, :half]).max() >= -_TOL:
             return basis.tolist()
         tableau = np.empty((rhs.size + 1, A.shape[1] + 1))
@@ -279,61 +274,55 @@ def _grid_lp(problem: DesignProblem, grid: GridSpec) -> _GridLP:
     return _GridLP(problem, grid)
 
 
-def lp_c_optimal(problem: DesignProblem, c,
+def lp_c_optimal(problem: DesignProblem, z: float,
                  grid: GridSpec = GridSpec()) -> tuple[float, Design]:
-    """Grid LP for the optimal variance: h and the optimizing design.
+    """Grid LP for the optimal variance of the slope at z: h and the design.
 
-    Writes c as h * (convex combination of +/- f(x_i)) with minimal h over the
-    uniform grid augmented with the exact closed-form support points; the
-    optimal variance over that support set is h^2.  The LP is posed on the
-    unit interval, with columns u^k for u = x / a and right-hand side
-    c_k / a^k, so its entries are at most 1 whatever a is.  The LP of the
-    last problem and grid is kept, and a new target restarts from its
-    optimal basis.
+    Writes c = f'(z) as h * (convex combination of +/- f(x_i)) with minimal h
+    over the uniform grid augmented with the exact closed-form support
+    points; the optimal variance over that support set is h^2.  The LP is
+    posed in the unit basis of :mod:`slopedesign.basis`, whose entries are at
+    most 1 whatever a is.  The LP of the last problem and grid is kept, and a
+    new target restarts from its optimal basis.
     """
-    n = problem.n
-    c = np.asarray(c, dtype=float)
-    if c.shape != (n,) or not np.any(c):
-        raise ValueError("c must be a nonzero vector of length n")
-    if grid.m < n + 1:
+    if grid.m < problem.n + 1:
         raise ValueError("grid must have at least n+1 points")
-    rhs = _divide_powers(c, problem.a)
+    rhs, factor = _unit_slope(problem, z)
     lp = _grid_lp(problem, grid)
-    x = lp.solve(rhs)
+    x = lp.solve(np.array(rhs))
     pts = lp.points
     mass = x[:pts.size] + x[pts.size:]
     sel = mass > 1e-12 * mass.sum()
     w = mass[sel] / mass[sel].sum()
-    return float(x.sum()), Design(pts[sel], w)
+    return float(x.sum()) * factor, Design(pts[sel], w)
 
 
-def restricted_weights(support, c) -> tuple[float, tuple[float, ...]]:
-    """Best weights (and variance) for a design pinned to the given support.
+def restricted_weights(problem: DesignProblem, z: float,
+                       support) -> tuple[float, tuple[float, ...]]:
+    """Best weights (and variance) for the slope at z on a pinned support.
 
-    Solves the n x n system F beta = c with F = (f(s_1) ... f(s_n)); the
-    variance sum_i beta_i^2 / w_i is minimized by w_i proportional to
-    |beta_i|, with minimum (sum_i |beta_i|)^2.
+    Solves G beta = c with G = (g(u_1) ... g(u_n)) in the unit basis of
+    :mod:`slopedesign.basis`; the variance sum_i beta_i^2 / w_i is minimized
+    by w_i proportional to |beta_i|, with minimum (sum_i |beta_i|)^2.
     """
-    c = np.asarray(c, dtype=float)
+    n = problem.n
     s = np.asarray(support, dtype=float)
-    n = c.size
     if s.size != n:
-        raise ValueError("support size must match the length of c")
-    smax = np.max(np.abs(s))
-    tol = 1e-12 * smax
+        raise ValueError("support size must match n")
+    tol = 1e-12 * np.max(np.abs(s))
     if np.any(np.abs(s) <= tol):
         raise SingularSupport("a support point sits at 0, where f vanishes")
     if n > 1 and np.min(np.diff(np.sort(s))) <= tol:
         raise SingularSupport("support points coincide within 1e-12 * max|s|")
-    # F(s) beta = c and F(s / smax) beta = (c_k / smax^k) have the same
-    # beta, and the second system cannot overflow.
-    big_f = np.vander(s / smax, n + 1, increasing=True)[:, 1:].T
+    rhs, factor = _unit_slope(problem, z)
+    big_g = np.array(unit_basis.values(n, s / problem.a))
     try:
-        beta = np.linalg.solve(big_f, _divide_powers(c, smax))
+        beta = np.linalg.solve(big_g, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSupport(str(exc)) from exc
     total = float(np.sum(np.abs(beta)))
-    return total ** 2, tuple(float(v) for v in np.abs(beta) / total)
+    root = total * factor
+    return root * root, tuple(float(v) for v in np.abs(beta) / total)
 
 
 def compare(problem: DesignProblem, z: float,
@@ -347,14 +336,13 @@ def compare(problem: DesignProblem, z: float,
     written with spacing / a so that no power of a is formed.
     """
     n, a = problem.n, problem.a
-    c = slope_vector(n, z)
     try:
         closed = optimal_design(problem, z)
     except (NotCovered, BoundaryPoint):
         closed = None
-    h_lp, lp_design = lp_c_optimal(problem, c, grid)
+    h_lp, lp_design = lp_c_optimal(problem, z, grid)
     lp_var = h_lp ** 2
-    restricted_var, _ = restricted_weights(support_points(problem), c)
+    restricted_var, _ = restricted_weights(problem, z, support_points(problem))
 
     spacing = a * grid.spacing_fraction
     margin_threshold = max(1e-6,
@@ -364,7 +352,7 @@ def compare(problem: DesignProblem, z: float,
         return OracleReport(False, None, lp_var, restricted_var, lp_design,
                             None, False, margin_threshold)
 
-    cf_var = variance(closed, c)
+    cf_var = variance(problem, closed, z)
     lp_on_support = [0.0] * len(closed.points)
     stray = 0.0
     for x, w in zip(lp_design.points, lp_design.weights):

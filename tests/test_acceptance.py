@@ -10,7 +10,7 @@ import pytest
 from slopedesign.designs import (DesignProblem, admissible_region,
                                  optimal_design, support_points,
                                  weight_functions, weights_at)
-from slopedesign.elfving import certify, slope_vector, variance
+from slopedesign.elfving import certify, variance
 from slopedesign.oracle import (GridSpec, compare, lp_c_optimal,
                                 restricted_weights)
 
@@ -97,9 +97,8 @@ def test_criterion_2_boundary_root_vs_lp_transition():
     sup = support_points(problem)
 
     def support_is_optimal(z):
-        c = slope_vector(2, z)
-        h, _ = lp_c_optimal(problem, c)
-        rvar, _ = restricted_weights(sup, c)
+        h, _ = lp_c_optimal(problem, z)
+        rvar, _ = restricted_weights(problem, z, sup)
         return rvar - h * h <= 1e-7 * rvar
 
     lo, hi = 0.15, 0.30
@@ -178,12 +177,11 @@ def test_criterion_5_certificate_sweep():
     for problem, z in sweep_cases():
         design = optimal_design(problem, z)
         cert = certify(problem, z, design)
-        c_scale = 1.0 + float(np.max(np.abs(slope_vector(problem.n, z))))
         assert cert.verifies, (problem, z)
-        assert cert.condition1_margin <= 1e-8
-        assert max(cert.condition2_residuals) <= 1e-8
-        assert cert.condition3_residual <= 1e-8 * c_scale
-        v = variance(design, slope_vector(problem.n, z))
+        assert cert.condition1_margin <= 1e-10
+        assert max(cert.condition2_residuals) <= 1e-10
+        assert cert.condition3_residual <= 1e-10
+        v = variance(problem, design, z)
         assert abs(v - cert.h ** 2) <= 1e-8 * cert.h ** 2, (problem, z)
         checked += 1
     _report(5, time.perf_counter() - t0, 10.0,
@@ -194,12 +192,10 @@ def test_criterion_6_oracle_agreement_sweep():
     t0 = time.perf_counter()
     checked = 0
     for problem, z in sweep_cases():
-        n = problem.n
-        c = slope_vector(n, z)
         h2 = math.fsum(abs(w(z)) for w in weight_functions(problem)) ** 2
-        h_lp, _ = lp_c_optimal(problem, c)
+        h_lp, _ = lp_c_optimal(problem, z)
         assert abs(h_lp ** 2 - h2) <= 5e-3 * h2, (problem, z)
-        rvar, _ = restricted_weights(support_points(problem), c)
+        rvar, _ = restricted_weights(problem, z, support_points(problem))
         assert abs(rvar - h2) <= 1e-9 * h2, (problem, z)
         checked += 1
     _report(6, time.perf_counter() - t0, 60.0,
@@ -279,17 +275,17 @@ def test_criterion_7_property_suite():
         big_f = np.vander(sup, n + 1, increasing=True)[:, 1:].T
         for _ in range(20):
             z = rng.uniform(-1.0, 2.0)
-            beta = np.linalg.solve(big_f, slope_vector(n, z))
+            c = [k * z ** (k - 1) for k in range(1, n + 1)]
+            beta = np.linalg.solve(big_f, c)
             for bi, w in zip(beta, wfs):
                 assert abs(bi - w(z)) <= 1e-9 * max(1.0, abs(w(z)))
 
     # grid refinement monotonicity on nested grids
     for n, z in ((2, 0.3), (3, 0.2), (4, 0.5)):
         problem = DesignProblem(n, 1.0)
-        c = slope_vector(n, z)
         for m in (201, 401):
-            coarse, _ = lp_c_optimal(problem, c, GridSpec(m))
-            fine, _ = lp_c_optimal(problem, c, GridSpec(2 * m - 1))
+            coarse, _ = lp_c_optimal(problem, z, GridSpec(m))
+            fine, _ = lp_c_optimal(problem, z, GridSpec(2 * m - 1))
             assert fine ** 2 <= coarse ** 2 + 1e-12
 
     _report(7, time.perf_counter() - t0, 30.0,

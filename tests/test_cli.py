@@ -9,6 +9,9 @@ import pytest
 
 from slopedesign.cli import main
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference as R  # noqa: E402
+
 SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -443,16 +446,45 @@ class TestOracleExtremeScales:
     @pytest.mark.parametrize("n,a,z", [("2", "1e-8", "1e300"),
                                        ("4", "1e-8", "1e100"),
                                        ("2", "1e80", "1e300"),
-                                       ("3", "3140", "2.3066102291535913e+81"),
-                                       ("3", "1e200", "0.5")])
+                                       ("3", "3140", "2.3066102291535913e+81")])
     def test_out_of_range_target(self, capsys, n, a, z):
-        # The LP right-hand side, the closed-form weights or a variance of
-        # the report overflow.  At a = 1e200 the LP is fine and the
-        # closed-form variance, still in monomials, overflows.
+        # The slope vector, the closed-form weights or a variance of the
+        # report overflow.
         code, out, err = run(capsys, "oracle", "--n", n, "--a", a, "--z", z)
         assert code == 64
         assert out == ""
         assert f"z={float(z)!r}" in err
+
+
+class TestExtremeScalesVerify:
+    """Targets far from a = 1 whose slope is finite in the unit basis: the
+    certificate verifies or the oracle agrees, and the variance matches the
+    mpmath reference."""
+
+    @pytest.mark.parametrize("command,n,a,z", [
+        ("oracle", "3", "1e200", "0.5"),
+        ("design", "4", "1e80", "1e103"),
+        ("design", "30", "1e11", "1e11"),
+        ("design", "3", "1e200", "0.5"),
+        ("design", "6", "1e3", "0"),
+    ])
+    def test_matches_reference(self, capsys, command, n, a, z):
+        code, doc, _ = run_json(capsys, command, "--n", n, "--a", a, "--z", z)
+        assert code == 0
+        res = doc["result"]
+        ref = R.problem(int(n), float(a))
+        if command == "oracle":
+            assert res["agrees"] is True
+            got = res["closed_form_variance"]
+        else:
+            cert = res["certificate"]
+            assert cert["verdict"] == "verified"
+            h = R.to_float(R.mp.fsum(abs(v) for v in ref.derivs(float(z))))
+            assert abs(cert["h"] - h) <= 1e-12 * h
+            got = res["variance"]
+        # At a = 1e200 the variance, about 1e-400, is 0.0 in both.
+        want = R.to_float(ref.optimal_variance(float(z)))
+        assert abs(got - want) <= 1e-12 * want
 
 
 @pytest.mark.filterwarnings("error")  # a numpy overflow warning is a 2nd line
@@ -466,8 +498,7 @@ class TestOverflowingTargets:
         assert f"z={float(z)!r}" in err
         assert "not finite" in err
 
-    @pytest.mark.parametrize("n,a,z", [("4", "1", "1e300"), ("30", "1", "1e30"),
-                                       ("4", "1e80", "1e103")])
+    @pytest.mark.parametrize("n,a,z", [("4", "1", "1e300"), ("30", "1", "1e30")])
     def test_design(self, capsys, n, a, z):
         code, out, err = run(capsys, "design", "--n", n, "--a", a, "--z", z)
         self._assert_rejected(code, out, err, z)

@@ -55,8 +55,8 @@ problem = slopedesign.DesignProblem(3, 1.0)
 report = slopedesign.compare(problem, 1.0, slopedesign.GridSpec(201))
 assert report.agrees
 design = slopedesign.optimal_design(problem, 1.0)
-c = slopedesign.slope_vector(3, 1.0)
-assert slopedesign.variance(design, c) == report.closed_form_variance
+assert slopedesign.variance(problem, design, 1.0) == \
+    report.closed_form_variance
 assert "numpy" in sys.modules
 """)
     assert proc.returncode == 0, proc.stderr

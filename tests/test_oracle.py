@@ -6,7 +6,6 @@ import pytest
 from slopedesign import oracle
 from slopedesign.designs import (DesignProblem, admissible_region,
                                  support_points, weight_functions, weights_at)
-from slopedesign.elfving import slope_vector
 from slopedesign.oracle import (GridSpec, Infeasible, NumericalFailure,
                                 OracleReport, SingularSupport, compare,
                                 lp_c_optimal, restricted_weights,
@@ -73,14 +72,14 @@ class TestGridSpec:
 
 class TestLpCOptimal:
     def test_n1_trivial(self):
-        h, d = lp_c_optimal(DesignProblem(1, 1.0), [1.0])
+        h, d = lp_c_optimal(DesignProblem(1, 1.0), 0.3)
         assert h == pytest.approx(1.0, abs=1e-10)
         assert d.points == (1.0,)
         assert d.weights == (1.0,)
 
     def test_n3_z1_matches_closed_form(self):
         pr = DesignProblem(3, 1.0)
-        h, d = lp_c_optimal(pr, slope_vector(3, 1.0))
+        h, d = lp_c_optimal(pr, 1.0)
         total = math.fsum(abs(w(1.0)) for w in weight_functions(pr))
         assert h == pytest.approx(total, rel=1e-2)
         spacing = 1.0 / 2000
@@ -93,17 +92,13 @@ class TestLpCOptimal:
         # z = 0.1 lies below (sqrt(2)-1)/2, so the closed-form support must
         # be optimal there; a negative boundary root would say otherwise.
         pr = DesignProblem(2, 1.0)
-        h, d = lp_c_optimal(pr, slope_vector(2, 0.1))
+        h, d = lp_c_optimal(pr, 0.1)
         assert d.points == pytest.approx([SQRT2 - 1, 1.0], abs=1e-9)
-
-    def test_rejects_zero_c(self):
-        with pytest.raises(ValueError):
-            lp_c_optimal(DesignProblem(2, 1.0), [0.0, 0.0])
 
     def test_support_size_at_most_n(self):
         for n, z in [(2, 0.9), (3, 0.4), (4, 0.25), (5, -0.4)]:
             pr = DesignProblem(n, 1.0)
-            _, d = lp_c_optimal(pr, slope_vector(n, z), GridSpec(501))
+            _, d = lp_c_optimal(pr, z, GridSpec(501))
             assert len(d.points) <= n
 
     def test_lower_bounds_restricted(self):
@@ -111,23 +106,21 @@ class TestLpCOptimal:
         # never be beaten by the restricted-support optimum.
         for n, z in [(2, 0.9), (3, 0.35), (4, 0.69), (3, 0.2), (4, 0.1)]:
             pr = DesignProblem(n, 1.0)
-            c = slope_vector(n, z)
-            h, _ = lp_c_optimal(pr, c, GridSpec(401))
-            rvar, _ = restricted_weights(support_points(pr), c)
+            h, _ = lp_c_optimal(pr, z, GridSpec(401))
+            rvar, _ = restricted_weights(pr, z, support_points(pr))
             assert h * h <= rvar + 1e-9
 
     def test_grid_refinement_monotone(self):
         pr = DesignProblem(3, 1.0)
-        c = slope_vector(3, 0.2)
         for m in (201, 401, 801):
-            coarse, _ = lp_c_optimal(pr, c, GridSpec(m))
-            fine, _ = lp_c_optimal(pr, c, GridSpec(2 * m - 1))
+            coarse, _ = lp_c_optimal(pr, 0.2, GridSpec(m))
+            fine, _ = lp_c_optimal(pr, 0.2, GridSpec(2 * m - 1))
             assert fine ** 2 <= coarse ** 2 + 1e-12
 
 
 class TestRestrictedWeights:
     def test_n1(self):
-        var, w = restricted_weights((2.0,), [1.0])
+        var, w = restricted_weights(DesignProblem(1, 2.0), 0.7, (2.0,))
         assert w == (1.0,)
         assert var == pytest.approx(0.25, abs=1e-14)
 
@@ -140,7 +133,7 @@ class TestRestrictedWeights:
         rng = random.Random(11)
         for _ in range(20):
             z = rng.uniform(-1.0, 2.0)
-            beta = np.linalg.solve(big_f, slope_vector(2, z))
+            beta = np.linalg.solve(big_f, [1.0, 2.0 * z])
             for bi, w in zip(beta, wfs):
                 assert bi == pytest.approx(w(z), abs=1e-10)
 
@@ -154,27 +147,28 @@ class TestRestrictedWeights:
         rng = random.Random(100 + n)
         for _ in range(20):
             z = rng.uniform(-1.0, 2.0)
-            beta = np.linalg.solve(big_f, slope_vector(n, z))
+            c = [k * z ** (k - 1) for k in range(1, n + 1)]
+            beta = np.linalg.solve(big_f, c)
             for bi, w in zip(beta, wfs):
                 assert bi == pytest.approx(w(z), rel=1e-9, abs=1e-9)
 
     def test_matches_closed_form_weights_inside_region(self):
         pr = DesignProblem(4, 1.0)
-        var, w = restricted_weights(support_points(pr), slope_vector(4, 0.25))
+        var, w = restricted_weights(pr, 0.25, support_points(pr))
         for got, want in zip(w, weights_at(pr, 0.25)):
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_singular_support_zero_point(self):
         with pytest.raises(SingularSupport):
-            restricted_weights((0.0, 1.0), [1.0, 2.0])
+            restricted_weights(DesignProblem(2, 1.0), 0.5, (0.0, 1.0))
 
     def test_singular_support_coincident(self):
         with pytest.raises(SingularSupport):
-            restricted_weights((0.5, 0.5 + 1e-13), [1.0, 2.0])
+            restricted_weights(DesignProblem(2, 1.0), 0.5, (0.5, 0.5 + 1e-13))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            restricted_weights((0.5, 1.0), [1.0, 2.0, 3.0])
+            restricted_weights(DesignProblem(3, 1.0), 0.5, (0.5, 1.0))
 
 
 class TestCompare:
@@ -252,11 +246,11 @@ class TestWarmStart:
         oracle._grid_lp.cache_clear()
         warm = []
         for z in zs:
-            h, d = lp_c_optimal(problem, slope_vector(n, z), grid)
+            h, d = lp_c_optimal(problem, z, grid)
             warm.append((h, d, sorted(oracle._grid_lp(problem, grid).basis)))
         for z, (h, d, basis) in zip(zs, warm):
             oracle._grid_lp.cache_clear()
-            h_cold, d_cold = lp_c_optimal(problem, slope_vector(n, z), grid)
+            h_cold, d_cold = lp_c_optimal(problem, z, grid)
             if sorted(oracle._grid_lp(problem, grid).basis) == basis:
                 assert (h, d) == (h_cold, d_cold)
             else:
@@ -291,12 +285,11 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("a", [1e-100, 1e100])
     def test_scale_equivariant(self, a):
-        c1 = slope_vector(3, 0.5)
-        h1, _ = lp_c_optimal(DesignProblem(3, 1.0), c1)
-        var1, _ = restricted_weights(support_points(DesignProblem(3, 1.0)), c1)
+        unit = DesignProblem(3, 1.0)
+        h1, _ = lp_c_optimal(unit, 0.5)
+        var1, _ = restricted_weights(unit, 0.5, support_points(unit))
         problem = DesignProblem(3, a)
-        c = slope_vector(3, a / 2)
-        h, _ = lp_c_optimal(problem, c)
-        var, _ = restricted_weights(support_points(problem), c)
+        h, _ = lp_c_optimal(problem, a / 2)
+        var, _ = restricted_weights(problem, a / 2, support_points(problem))
         assert h * a == pytest.approx(h1, rel=1e-12)
         assert var * a * a == pytest.approx(var1, rel=1e-12)

@@ -1,6 +1,6 @@
-"""The closed form against the independent mpmath reference of the
-benchmark (``perfbench/reference.py``, which imports nothing from the
-package) over n = 1..30 and a in {1e-8, 1, 1e8}.
+"""The closed form, its variance and the oracle against the independent
+mpmath reference of the benchmark (``perfbench/reference.py``, which imports
+nothing from the package) over n = 1..30 and a in {1e-8, 1, 1e8}.
 
 The reference is evaluated on [0, 1] and carried to [0, a] by the exact
 scale equivariance of the problem, in 40-digit arithmetic: roots scale by a,
@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 from slopedesign.designs import (DesignProblem, admissible_region,
-                                 basis_derivatives, weights_at)
+                                 basis_derivatives, optimal_design, weights_at)
+from slopedesign.elfving import variance
+from slopedesign.oracle import compare
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import reference as R  # noqa: E402
@@ -58,3 +60,29 @@ def test_roots_weights_and_h_match_reference(n):
                 assert abs(w - m / total) <= 1e-12, (n, a, z)
             h = math.fsum(abs(v) for v in basis_derivatives(problem, z))
             assert abs(h - total / a) <= 1e-12 * total / a, (n, a, z)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_variance_matches_reference(n):
+    ref = R.problem(n, 1.0)
+    for a in SCALES:
+        problem = DesignProblem(n, a)
+        for u in unit_targets(ref):
+            z = float(u * a)
+            total = R.mp.fsum(abs(v) for v in ref.derivs(R.mp.mpf(z) / a))
+            want = (total / a) ** 2
+            got = variance(problem, optimal_design(problem, z), z)
+            assert abs(got - want) <= 1e-12 * want, (n, a, z)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_oracle_agrees_in_every_interval(n):
+    # compare's own thresholds: the LP within 1e-2 of the closed form, the
+    # restricted weights within 1e-9.
+    targets = unit_targets(R.problem(n, 1.0))[1:]
+    for a in SCALES:
+        problem = DesignProblem(n, a)
+        for u in targets:
+            z = float(u * a)
+            report = compare(problem, z)
+            assert report.covered and report.agrees, (n, a, z)
