@@ -198,6 +198,8 @@ def _cmd_check(args) -> int:
         raise _DataError(f"points and weights must be numbers: {exc}") from exc
     if not all(math.isfinite(v) for v in points + weights):
         raise _DataError("points and weights must be finite")
+    if not all(0.0 <= x <= problem.a for x in points):
+        raise _DataError(f"design points must lie in [0, a] = [0, {args.a!r}]")
     total = math.fsum(weights)
     if abs(total - 1.0) > 1e-9:
         raise _DataError(f"weights sum to {total!r}, violating 1 within 1e-9")
@@ -236,7 +238,7 @@ def compare(problem, z: float, grid_points: int):
 
 def _cmd_oracle(args) -> int:
     from numpy.linalg import LinAlgError
-    from .oracle import Infeasible, NumericalFailure, SingularSupport
+    from .oracle import NumericalFailure, SingularSupport
     problem = _problem(args)
     _check_grid_and_targets(args, args.n + 1)
     _require_finite(args.z, basis.slope(args.n, args.z / args.a))
@@ -244,8 +246,7 @@ def _cmd_oracle(args) -> int:
         report = compare(problem, args.z, args.grid)
     except OverflowError as exc:
         raise _UsageExit(f"z={args.z!r} is out of range: {exc}") from exc
-    except (Infeasible, NumericalFailure, SingularSupport,
-            LinAlgError) as exc:
+    except (NumericalFailure, SingularSupport, LinAlgError) as exc:
         raise _InternalError(exc) from exc
     _require_finite(args.z, (report.lp_variance, report.restricted_variance,
                              report.closed_form_variance or 0.0,

@@ -214,35 +214,32 @@ def simplex_minimize(cost, A, b, max_iter: int = _MAX_ITER,
 class _GridLP:
     """The grid LP of one problem: min sum(x) subject to [G, -G] x = rhs,
     x >= 0, with G[k-1, j] = g_k(u_j) of :mod:`slopedesign.basis` on the
-    unit grid u = x / a, and the optimal basis of the last solve.
+    unit grid u = x / a, and the basis the next solve starts from.
 
     Only the right-hand side depends on the target, and the costs never
-    change, so a later target restarts from the last optimal basis: basic
+    change, so every solve restarts the primal simplex from a basis: basic
     columns that went negative are swapped for their mirrors, which leaves
-    the basis primal feasible, and phase 2 runs only if pricing finds a
-    negative reduced cost (Chvatal, Linear Programming, 1983, ch. 10).
+    it primal feasible, and phase 2 runs only if pricing finds a negative
+    reduced cost (Chvatal, Linear Programming, 1983, ch. 10).  The first
+    start is the closed-form support, which the grid holds exactly.
     """
 
     def __init__(self, problem: DesignProblem, grid: GridSpec):
-        self.points = np.unique(np.concatenate(
-            [grid.points(problem), np.asarray(support_points(problem))]))
+        support = np.asarray(support_points(problem))
+        self.points = np.unique(np.concatenate([grid.points(problem), support]))
         cols = np.array(unit_basis.values(problem.n, self.points / problem.a))
         self.matrix = np.hstack([cols, -cols])
-        self.basis: list[int] | None = None
+        self.basis: list[int] = np.searchsorted(self.points, support).tolist()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The optimal x; the first solve runs the cold two-phase simplex."""
+        """The optimal x, from a restart of the primal simplex."""
         cost = np.ones(self.matrix.shape[1])
-        if self.basis is None:
-            basis, rows = _two_phase(cost, self.matrix, rhs, _MAX_ITER, _TOL)
-        else:
-            basis, rows = self._restart(rhs, cost), list(range(rhs.size))
-        x = _basic_solution(self.matrix, rhs, basis, rows)
-        self.basis = basis if len(rows) == rhs.size else None
+        self.basis = self._restart(rhs, cost)
+        x = _basic_solution(self.matrix, rhs, self.basis, list(range(rhs.size)))
         # The optimal bases of a degenerate optimum differ in columns at 0;
         # solving on the positive columns makes x the same for all of them.
         support = np.flatnonzero(x > 1e-12 * x.sum())
-        if support.size < len(basis):
+        if support.size < rhs.size:
             x = np.zeros_like(x)
             x[support] = np.linalg.lstsq(self.matrix[:, support], rhs,
                                          rcond=None)[0]
@@ -282,8 +279,9 @@ def lp_c_optimal(problem: DesignProblem, z: float,
     over the uniform grid augmented with the exact closed-form support
     points; the optimal variance over that support set is h^2.  The LP is
     posed in the unit basis of :mod:`slopedesign.basis`, whose entries are at
-    most 1 whatever a is.  The LP of the last problem and grid is kept, and a
-    new target restarts from its optimal basis.
+    most 1 whatever a is.  The LP of the last problem and grid is kept; its
+    first target starts from the closed-form support, a later one from the
+    last optimal basis, and no phase-1 simplex runs.
     """
     if grid.m < problem.n + 1:
         raise ValueError("grid must have at least n+1 points")

@@ -172,6 +172,23 @@ class TestCheckCommand:
         assert code == 65
         assert "sum" in err
 
+    @pytest.mark.parametrize("points", [[0.5, 1e200, 2e200],
+                                        [-0.5, 0.5, 2.0]])
+    def test_points_outside_design_space_are_data_error(self, capsys,
+                                                         tmp_path, points):
+        # Huge points used to overflow the moment system (exit 70); points
+        # of moderate size got a verdict for a design off [0, a] (exit 0).
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps({"points": points,
+                                 "weights": [0.2, 0.45, 0.35]}),
+                     encoding="utf-8")
+        code, out, err = run(capsys, "check", "--n", "3", "--a", "1",
+                             "--z", "1", "--design", str(f))
+        assert code == 65
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "[0, a]" in err
+
 
 class TestOracleCommand:
     def test_inside_agrees(self, capsys):

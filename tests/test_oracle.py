@@ -235,8 +235,9 @@ def _targets(problem):
 
 
 class TestWarmStart:
-    """A later target of the same problem and grid restarts from the last
-    optimal basis; its result depends only on the basis it ends on."""
+    """Every target of the same problem and grid restarts from a basis: the
+    first from the closed-form support, a later one from the last optimal
+    basis.  The result depends only on the basis the solve ends on."""
 
     @pytest.mark.parametrize("a", [0.1, 1.0, 2.0])
     @pytest.mark.parametrize("n", range(1, 13))
@@ -265,22 +266,20 @@ class TestWarmStart:
         compare(problem, z1)
         assert compare(problem, z2) == alone
 
-    def test_one_cached_problem_whose_first_call_runs_cold(self, monkeypatch):
-        cold = []
-        real = oracle._two_phase
+    def test_one_cached_problem_and_no_two_phase_run(self, monkeypatch):
+        def two_phase(*args):
+            raise AssertionError("the grid LP ran the two-phase simplex")
 
-        def counted(*args):
-            cold.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(oracle, "_two_phase", counted)
+        monkeypatch.setattr(oracle, "_two_phase", two_phase)
         oracle._grid_lp.cache_clear()
         p, q = DesignProblem(3, 1.0), DesignProblem(3, 2.0)
         steps = [(p, 401, 1), (p, 401, 1), (p, 201, 2), (p, 201, 2),
                  (q, 201, 3), (q, 201, 3), (p, 401, 4)]
-        for k, (problem, m, cold_runs) in enumerate(steps):
-            compare(problem, (0.4 if k % 2 else 0.9) * problem.a, GridSpec(m))
-            assert len(cold) == cold_runs
+        for k, (problem, m, built) in enumerate(steps):
+            z = (0.4 if k % 2 else 0.9) * problem.a
+            compare(problem, z, GridSpec(m))
+            lp_c_optimal(problem, z, GridSpec(m))
+            assert oracle._grid_lp.cache_info().misses == built
             assert oracle._grid_lp.cache_info().currsize == 1
 
     @pytest.mark.parametrize("a", [1e-100, 1e100])
@@ -293,3 +292,75 @@ class TestWarmStart:
         var, _ = restricted_weights(problem, a / 2, support_points(problem))
         assert h * a == pytest.approx(h1, rel=1e-12)
         assert var * a * a == pytest.approx(var1, rel=1e-12)
+
+
+def _two_phase_reference(lp, problem, z):
+    """h from the two-phase simplex, run from the artificial basis on the
+    matrix of ``lp``, and the sorted columns of its positive solution."""
+    rhs, factor = oracle._unit_slope(problem, z)
+    x, _ = simplex_minimize(np.ones(lp.matrix.shape[1]), lp.matrix, rhs)
+    return float(x.sum()) * factor, np.flatnonzero(x).tolist()
+
+
+class TestCrashStart:
+    """No grid LP runs phase 1, and where it starts cannot change where it
+    ends: pricing over every column certifies the optimum."""
+
+    SCALES = (1e-8, 1.0, 1e8)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_matches_two_phase_reference(self, n):
+        grid = GridSpec(201)
+        for a in self.SCALES:
+            problem = DesignProblem(n, a)
+            oracle._grid_lp.cache_clear()
+            for z in _targets(problem):
+                h, _ = lp_c_optimal(problem, z, grid)
+                lp = oracle._grid_lp(problem, grid)
+                h_ref, columns = _two_phase_reference(lp, problem, z)
+                if sorted(lp.basis) == columns:
+                    assert h == h_ref, (n, a, z)
+                else:
+                    assert h ** 2 == pytest.approx(h_ref ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 12, 30])
+    def test_wrong_start_ends_at_same_optimum(self, n):
+        grid = GridSpec(201)
+        for a in self.SCALES:
+            problem = DesignProblem(n, a)
+            for z in _targets(problem):
+                oracle._grid_lp.cache_clear()
+                h, _ = lp_c_optimal(problem, z, grid)
+                lp = oracle._grid_lp(problem, grid)
+                best = sorted(lp.basis)
+                # n nonzero grid points off the support, spread over the
+                # grid, every second one entering as its mirror -g(u).
+                half = lp.points.size
+                support = np.searchsorted(lp.points, support_points(problem))
+                off = np.setdiff1d(np.arange(1, half), support)
+                start = off[np.linspace(0, off.size - 1, n).astype(int)]
+                lp.basis = [int(j) + half * (i % 2)
+                            for i, j in enumerate(start)]
+                h_wrong, _ = lp_c_optimal(problem, z, grid)
+                if sorted(lp.basis) == best:
+                    assert h_wrong == h, (n, a, z)
+                else:
+                    assert h_wrong ** 2 == pytest.approx(h ** 2, rel=1e-9)
+
+    def test_start_priced_out_only_by_mirror_columns(self):
+        # From u = 1/200 and u = 1 the slope at z = a needs weight on -g(u)
+        # at u = 1/200; after the mirror swap every +g column prices at
+        # y.g(u) <= 1 and only mirror columns have y.g(u) < -1.
+        problem, grid = DesignProblem(2, 1.0), GridSpec(201)
+        oracle._grid_lp.cache_clear()
+        h, _ = lp_c_optimal(problem, 1.0, grid)
+        lp = oracle._grid_lp(problem, grid)
+        start = [lp.points.size + 1, lp.points.size - 1]
+        rhs, _ = oracle._unit_slope(problem, 1.0)
+        assert (np.linalg.solve(lp.matrix[:, start], rhs) > 0).all()
+        y = np.linalg.solve(lp.matrix[:, start].T, np.ones(2))
+        prices = y @ lp.matrix[:, :lp.points.size]
+        assert prices.max() <= 1.0 + 1e-12 and prices.min() < -1.0
+        lp.basis = start
+        assert lp_c_optimal(problem, 1.0, grid)[0] == pytest.approx(h,
+                                                                   rel=1e-12)
