@@ -9,8 +9,8 @@ from .designs import (AdmissibleRegion, BoundaryPoint, Design, DesignProblem,
                       lagrange_basis, optimal_design, support_points,
                       weight_functions, weights_at)
 from .elfving import (ElfvingCertificate, ZOutsideRegion, certify,
-                      extremal_polynomial, extremal_value, variance)
-from .polynomial import Degenerate, Poly, chebyshev_T
+                      extremal_value, variance)
+from .polynomial import Degenerate, Poly
 
 __version__ = "0.1.0"
 
@@ -37,8 +37,8 @@ __all__ = [
     "DesignProblem", "ElfvingCertificate", "GridSpec", "Infeasible",
     "NotCovered", "NumericalFailure", "OracleReport", "Poly",
     "SingularSupport", "ZOutsideRegion", "admissible_region",
-    "basis_derivatives", "certify", "chebyshev_T", "compare",
-    "extremal_polynomial", "extremal_value", "lagrange_basis", "lp_c_optimal",
+    "basis_derivatives", "certify", "compare", "extremal_value",
+    "lagrange_basis", "lp_c_optimal",
     "optimal_design", "restricted_weights", "simplex_minimize",
     "support_points", "variance", "weight_functions", "weights_at",
     "__version__",

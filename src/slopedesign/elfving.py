@@ -18,7 +18,6 @@ from functools import lru_cache
 from . import basis
 from .designs import (Design, DesignProblem, admissible_region,
                       basis_derivatives, support_points)
-from .polynomial import Poly, chebyshev_T
 
 # numpy is imported inside variance only, so that the certificate and the
 # closed form run without it.
@@ -37,9 +36,10 @@ class ZOutsideRegion(Exception):
 class ElfvingCertificate:
     """Outcome of the three optimality conditions for one (z, design) pair.
 
-    p holds the coefficients of x^1..x^n of the extremal polynomial (sign
-    chosen so h > 0); margins at or below the verification tolerance mean the
-    design is certified optimal with variance h^2.
+    p holds the coefficients p_1..p_n of the extremal polynomial on the unit
+    basis, sum_k p_k g_k(x / a) with g_k of :mod:`slopedesign.basis` (sign
+    chosen so h > 0); margins at or below the verification tolerance mean
+    the design is certified optimal with variance h^2.
     """
 
     p: tuple[float, ...]
@@ -104,48 +104,68 @@ def variance(problem: DesignProblem, design: Design, z: float) -> float:
     return root * root
 
 
-def extremal_polynomial(problem: DesignProblem) -> Poly:
-    """The rescaled Chebyshev polynomial equioscillating on [0, a].
-
-    Degree n, constant coefficient 0 up to roundoff (below 1e-10), so it lies
-    in the intercept-free model span.
-    """
-    n, a = problem.n, problem.a
+@lru_cache(maxsize=256)
+def _extremal_coefficients(n: int) -> tuple[float, ...]:
+    # The coefficients p_1..p_n of the extremal polynomial on the unit basis,
+    # S(u) = T_n((1 + c) u - c) = sum_k p_k g_k(u) with c = cos(pi / 2n); the
+    # problem is scale-equivariant, so they depend on n only.  S(0) = 0, so
+    # S(u) / u = sum_k p_k T_{k-1}(2u - 1) has degree n - 1, and its
+    # Chebyshev coefficients follow from its values at the n Chebyshev points
+    # 2u - 1 = cos(theta_j) by discrete orthogonality (Trefethen,
+    # Approximation Theory and Approximation Practice, 2013, ch. 3-4).  With
+    # (1 + c) u - c = cos(phi) and -c = cos(psi), S(u) / u = (1 + c)
+    # (cos n phi - cos n psi) / (cos phi - cos psi) is a product of two
+    # ratios sin(n x) / sin(x), which divides nothing by u and makes p
+    # exactly (1,) at n = 1.
     c = math.cos(math.pi / (2 * n))
-    return chebyshev_T(n).compose_affine((1.0 + c) / a, -c)
+    psi = math.pi - math.pi / (2 * n)
+    thetas = [math.pi * (j + 0.5) / n for j in range(n)]
+    q = []
+    for theta in thetas:
+        phi = math.acos((1.0 + c) * math.cos(0.5 * theta) ** 2 - c)
+        s, d = 0.5 * (psi + phi), 0.5 * (psi - phi)
+        q.append((1.0 + c) * (math.sin(n * s) / math.sin(s))
+                 * (math.sin(n * d) / math.sin(d)))
+    p = [2.0 / n * math.fsum(qj * math.cos(k * theta)
+                             for qj, theta in zip(q, thetas))
+         for k in range(n)]
+    p[0] *= 0.5
+    return tuple(p)
+
+
+def _unit_values(p: tuple[float, ...], us) -> list[float]:
+    # sum_k p_k g_k(u) = u sum_k p_k T_{k-1}(2u - 1) at every u, by
+    # Clenshaw's recurrence; one loop over the points, since the
+    # condition-1 sweep runs it on the whole grid.
+    p0, rest = p[0], p[:0:-1]
+    out = []
+    for u in us:
+        t2 = 4.0 * u - 2.0
+        b1 = b2 = 0.0
+        for pk in rest:
+            b1, b2 = pk + t2 * b1 - b2, b1
+        out.append(u * (p0 + 0.5 * t2 * b1 - b2))
+    return out
 
 
 def extremal_value(problem: DesignProblem, x: float) -> float:
-    """Numerically stable evaluation of the extremal polynomial at x."""
-    n, a = problem.n, problem.a
-    c = math.cos(math.pi / (2 * n))
-    u = (float(x) / a) * (1.0 + c) - c
-    if abs(u) <= 1.0:
-        return math.cos(n * math.acos(u))
-    if abs(u) <= 1.0 + 1e-9:
-        return math.cos(n * math.acos(max(-1.0, min(1.0, u))))
-    t = math.acosh(abs(u))
-    val = math.cosh(n * t)
-    return val if u > 1.0 else (val if n % 2 == 0 else -val)
+    """The extremal polynomial at x: sum_k p_k g_k(x / a) for the
+    coefficients that certify emits, evaluated by Clenshaw's recurrence.
+
+    Its sign is the one that is +1 at a.
+    """
+    return _unit_values(_extremal_coefficients(problem.n),
+                        (float(x) / problem.a,))[0]
 
 
 @lru_cache(maxsize=256)
-def _extremal_cached(problem: DesignProblem,
-                     grid_points: int) -> tuple[tuple[float, ...], float]:
-    # Everything in certify that does not depend on z or on the design: the
-    # coefficients of x^1..x^n of the extremal polynomial and the condition-1
-    # margin over the grid augmented with its critical points, which are the
-    # interior extremal points: every support point but a.
-    n, a = problem.n, problem.a
-    s_poly = extremal_polynomial(problem)
-    const = s_poly.coeffs[0]
-    if abs(const) > 1e-10:
-        raise ArithmeticError(
-            f"extremal polynomial constant term {const!r} exceeds 1e-10")
-    xs = [a * k / (grid_points - 1) for k in range(grid_points)]
-    xs.extend(support_points(problem)[:-1])
-    cond1 = max(abs(extremal_value(problem, x)) for x in xs) - 1.0
-    return s_poly.coeffs[1:n + 1], cond1
+def _condition1_margin(n: int, grid_points: int) -> float:
+    # max |S| - 1 over the unit grid augmented with the critical points of S,
+    # the interior extremal points: every unit support point but 1.  Like
+    # the coefficients, it depends on neither a, z nor the design.
+    us = [k / (grid_points - 1) for k in range(grid_points)]
+    us.extend(support_points(DesignProblem(n, 1.0))[:-1])
+    return max(map(abs, _unit_values(_extremal_coefficients(n), us))) - 1.0
 
 
 def certify(problem: DesignProblem, z: float, design: Design,
@@ -158,11 +178,13 @@ def certify(problem: DesignProblem, z: float, design: Design,
     normalized to h > 0 by flipping the polynomial's sign.  Condition (1) is
     checked on a uniform grid of ``grid_points >= 2`` points over [0, a]
     augmented with the critical points of the extremal polynomial (the
-    support points inside (0, a)), which pins the sup-norm.  Neither the
-    extremal polynomial nor this condition-1 margin depends on z or on the
-    design, so both are computed once per (problem, grid_points) and
-    cached; conditions (2) and (3) are evaluated on every call.  Condition
-    (3) is checked in the unit basis of :mod:`slopedesign.basis`: each row
+    support points inside (0, a)), which pins the sup-norm.  Conditions (1)
+    and (2) evaluate the emitted coefficients p on the unit basis of
+    :mod:`slopedesign.basis`.  Neither p nor the condition-1 margin depends
+    on a, z or the design, so p is computed once per n and the margin once
+    per (n, grid_points), and both are cached; conditions (2) and (3) are
+    evaluated on every call.  Condition (3) is checked in the same basis,
+    with v_i = +/-1 the sign of the polynomial at x_i: each row
     |g_k'(u_z) - a h sum_i w_i v_i g_k(u_i)| is divided by the size of its
     terms, |g_k'(u_z)| + a h sum_i |w_i g_k(u_i)|, so its margin has no
     units.  Every margin is compared with ``tol``.  z is located in the
@@ -181,23 +203,25 @@ def certify(problem: DesignProblem, z: float, design: Design,
     sign = 1.0 if h_signed > 0 else -1.0
     h = abs(h_signed)
 
-    coeffs, cond1 = _extremal_cached(problem, grid_points)
-    p = tuple(sign * c for c in coeffs)
+    p = tuple(sign * pk for pk in _extremal_coefficients(n))
+    cond1 = _condition1_margin(n, grid_points)
 
-    vals = [sign * extremal_value(problem, x) for x in design.points]
-    cond2 = tuple(abs(abs(v) - 1.0) for v in vals)
-
-    # Condition 3 in the unit basis, row by row: g'(u_z) = a h sum_i w_i v_i
-    # g(u_i), each row relative to the size of its own terms.
+    # Conditions 2 and 3 in the unit basis, from the model vector g(u_i) of
+    # each design point: p . g(u_i) must be +/-1, and with v_i its sign, row
+    # by row g'(u_z) = a h sum_i w_i v_i g(u_i), each row relative to the
+    # size of its own terms.
     a = problem.a
     ah = a * h
     c = basis.slope(n, z / a)
-    rep, size = [0.0] * n, [0.0] * n
-    for x, w, v in zip(design.points, design.weights, vals):
-        wv = w * v
-        for k, g in enumerate(basis.values(n, x / a)):
-            rep[k] += wv * g
-            size[k] += abs(w * g)
+    rep, size, cond2 = [0.0] * n, [0.0] * n, []
+    for x, w in zip(design.points, design.weights):
+        g = basis.values(n, x / a)
+        v = math.fsum(pk * gk for pk, gk in zip(p, g))
+        cond2.append(abs(abs(v) - 1.0))
+        wv = math.copysign(w, v)
+        for k, gk in enumerate(g):
+            rep[k] += wv * gk
+            size[k] += abs(w * gk)
     # A row whose terms are all zero holds exactly; `or 1.0` keeps it at 0.
     res = [abs(ck - ah * rk) / (abs(ck) + ah * sk or 1.0)
            for ck, rk, sk in zip(c, rep, size)]
@@ -205,5 +229,5 @@ def certify(problem: DesignProblem, z: float, design: Design,
     cond3 = math.nan if any(math.isnan(r) for r in res) else max(res)
 
     ok = (cond1 <= tol and all(r <= tol for r in cond2) and cond3 <= tol)
-    return ElfvingCertificate(p, h, cond1, cond2, cond3,
+    return ElfvingCertificate(p, h, cond1, tuple(cond2), cond3,
                               "verified" if ok else "failed")

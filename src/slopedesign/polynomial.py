@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -53,29 +52,6 @@ class Poly:
             return Poly((0.0,))
         return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
-    def compose_affine(self, alpha: float, beta: float) -> "Poly":
-        """Return q with q(x) = p(alpha*x + beta).
-
-        The binomial expansion is carried out in exact rational arithmetic
-        over the float values of alpha and beta, with a single rounding per
-        output coefficient.  Massive cancellation (e.g. the zero constant
-        term of a rescaled Chebyshev polynomial) therefore resolves exactly.
-        """
-        d = self.degree
-        if d is None or d == 0:
-            return Poly(self.coeffs)
-        fa = Fraction(float(alpha))
-        fb = Fraction(float(beta))
-        out = []
-        for k in range(d + 1):
-            acc = Fraction(0)
-            for j in range(k, d + 1):
-                if self.coeffs[j] != 0.0:
-                    acc += (Fraction(self.coeffs[j]) * math.comb(j, k)
-                            * fa**k * fb ** (j - k))
-            out.append(float(acc))
-        return Poly(tuple(out))
-
     def __mul__(self, other: "Poly | float | int") -> "Poly":
         if isinstance(other, (int, float)):
             return Poly(tuple(c * other for c in self.coeffs))
@@ -88,19 +64,3 @@ class Poly:
         return Poly(tuple(out))
 
     __rmul__ = __mul__
-
-
-def chebyshev_T(n: int) -> Poly:
-    """Chebyshev polynomial of the first kind via the three-term recurrence."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    # Integer arithmetic keeps coefficients exact (|c| < 2**53 for n <= 44).
-    t_prev, t_cur = [1], [0, 1]
-    if n == 0:
-        return Poly((1.0,))
-    for _ in range(n - 1):
-        nxt = [0] + [2 * c for c in t_cur]
-        for k, c in enumerate(t_prev):
-            nxt[k] -= c
-        t_prev, t_cur = t_cur, nxt
-    return Poly(tuple(float(c) for c in t_cur))

@@ -482,6 +482,8 @@ class TestExtremeScalesVerify:
         ("oracle", "3", "1e200", "0.5"),
         ("design", "4", "1e80", "1e103"),
         ("design", "30", "1e11", "1e11"),
+        ("design", "30", "1e-11", "1e-11"),
+        ("design", "20", "1e-8", "0"),
         ("design", "3", "1e200", "0.5"),
         ("design", "6", "1e3", "0"),
     ])
@@ -515,7 +517,9 @@ class TestOverflowingTargets:
         assert f"z={float(z)!r}" in err
         assert "not finite" in err
 
-    @pytest.mark.parametrize("n,a,z", [("4", "1", "1e300"), ("30", "1", "1e30")])
+    # At a = 1e-300, h is about 1e300, and h^2 overflows.
+    @pytest.mark.parametrize("n,a,z", [("4", "1", "1e300"), ("30", "1", "1e30"),
+                                       ("4", "1e-300", "1e-300")])
     def test_design(self, capsys, n, a, z):
         code, out, err = run(capsys, "design", "--n", n, "--a", a, "--z", z)
         self._assert_rejected(code, out, err, z)

@@ -5,14 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from slopedesign import basis
+from slopedesign import basis, elfving
 from slopedesign.designs import (Design, DesignProblem, admissible_region,
                                  optimal_design, support_points,
                                  weight_functions)
 from slopedesign.elfving import (ElfvingCertificate, ZOutsideRegion,
-                                 _extremal_cached, certify,
-                                 extremal_polynomial, extremal_value,
-                                 variance)
+                                 _condition1_margin, _extremal_coefficients,
+                                 certify, extremal_value, variance)
 
 SQRT2 = math.sqrt(2)
 
@@ -154,44 +153,57 @@ class TestVariance:
             assert via_factor == pytest.approx(via_pinv, rel=1e-9)
 
 
+def _trig_extremal(problem, x):
+    """The reference form of the extremal polynomial, T_n((1 + c) x / a - c)
+    = cos(n acos(.)) with c = cos(pi / 2n), for x in [0, a]."""
+    n = problem.n
+    c = math.cos(math.pi / (2 * n))
+    u = (x / problem.a) * (1.0 + c) - c
+    return math.cos(n * math.acos(max(-1.0, min(1.0, u))))
+
+
 class TestExtremalPolynomial:
+    """The emitted polynomial sum_k p_k g_k(x / a), through extremal_value."""
+
     def test_n1_identity_on_unit_interval(self):
-        s1 = extremal_polynomial(DesignProblem(1, 1.0))
-        assert s1.coeffs[0] == pytest.approx(0.0, abs=1e-15)
-        assert s1.coeffs[1] == pytest.approx(1.0, abs=1e-15)
+        assert _extremal_coefficients(1) == (1.0,)
+        pr = DesignProblem(1, 1.0)
+        assert extremal_value(pr, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert extremal_value(pr, 1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_n2_alternation_values(self):
-        s2 = extremal_polynomial(DesignProblem(2, 1.0))
-        assert s2(SQRT2 - 1) == pytest.approx(-1.0, abs=1e-12)
-        assert s2(1.0) == pytest.approx(1.0, abs=1e-12)
-        assert abs(s2(0.0)) <= 1e-12
+        pr = DesignProblem(2, 1.0)
+        assert extremal_value(pr, SQRT2 - 1) == pytest.approx(-1.0, abs=1e-12)
+        assert extremal_value(pr, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert abs(extremal_value(pr, 0.0)) <= 1e-12
 
     def test_n4_equioscillation_on_unit_interval(self):
         pr = DesignProblem(4, 1.0)
-        s4 = extremal_polynomial(pr)
         sup = support_points(pr)
         grid = [k / 2000 for k in range(2001)]
-        near = [x for x in grid if abs(abs(s4(x)) - 1.0) <= 1e-6]
+        near = [x for x in grid
+                if abs(abs(extremal_value(pr, x)) - 1.0) <= 1e-6]
         # every near-extremal grid point clusters at a support point
         assert all(min(abs(x - s) for s in sup) < 2e-3 for x in near)
         for s in sup:
-            assert abs(abs(s4(s)) - 1.0) <= 1e-9
+            assert abs(abs(extremal_value(pr, s)) - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
     def test_supnorm_alternation_origin(self, n, a):
         pr = DesignProblem(n, a)
-        s = extremal_polynomial(pr)
-        assert abs(s.coeffs[0]) <= 1e-10
+        assert abs(extremal_value(pr, 0.0)) <= 1e-10
         sup = support_points(pr)
         for i, x in enumerate(sup, start=1):
-            assert s(x) == pytest.approx((-1.0) ** (n - i), abs=1e-9)
-        mx = max(abs(s(a * k / 1000)) for k in range(1001))
+            assert extremal_value(pr, x) == pytest.approx((-1.0) ** (n - i),
+                                                          abs=1e-9)
+        mx = max(abs(extremal_value(pr, a * k / 1000)) for k in range(1001))
         assert mx <= 1.0 + 1e-9
-        # stable evaluator agrees with the coefficient form
+        # the emitted coefficients agree with the trigonometric form
         for k in range(0, 1001, 37):
             x = a * k / 1000
-            assert extremal_value(pr, x) == pytest.approx(s(x), abs=5e-9)
+            assert extremal_value(pr, x) == pytest.approx(
+                _trig_extremal(pr, x), abs=5e-9)
 
 
 class TestCertify:
@@ -273,9 +285,15 @@ class TestCertify:
                 certify(pr, 1.0, d, grid_points=m)
 
 
+def _clear_certify_caches():
+    _extremal_coefficients.cache_clear()
+    _condition1_margin.cache_clear()
+
+
 class TestCertifyCache:
-    """The z-independent part of certify is computed once per
-    (problem, grid_points)."""
+    """The z-independent part of certify is computed once: the coefficients
+    of the extremal polynomial per n, the condition-1 margin per
+    (n, grid_points)."""
 
     PROBLEM = DesignProblem(4, 1.0)
     TARGETS = (-0.5, 0.03, 0.25, 0.3, 0.68, 0.95, 1.4)
@@ -284,7 +302,7 @@ class TestCertifyCache:
         certs = []
         for z in self.TARGETS:
             if clear_each:
-                _extremal_cached.cache_clear()
+                _clear_certify_caches()
             certs.append(certify(self.PROBLEM, z,
                                  optimal_design(self.PROBLEM, z)))
         return certs
@@ -296,23 +314,34 @@ class TestCertifyCache:
         assert all(c.verifies for c in warm)
 
     def test_one_miss_per_batch(self):
-        _extremal_cached.cache_clear()
+        _clear_certify_caches()
         self._batch(clear_each=False)
-        info = _extremal_cached.cache_info()
+        info = _condition1_margin.cache_info()
         assert info.misses == 1
         assert info.hits == len(self.TARGETS) - 1
+        assert _extremal_coefficients.cache_info().misses == 1
 
-    def test_grid_and_root_tolerance_keyed_separately(self):
-        _extremal_cached.cache_clear()
+    def test_keyed_by_degree_and_grid(self):
+        _clear_certify_caches()
         z = 0.95
         d = optimal_design(self.PROBLEM, z)
         base = certify(self.PROBLEM, z, d)
         coarse = certify(self.PROBLEM, z, d, grid_points=11)
-        assert _extremal_cached.cache_info().misses == 2
-        assert _extremal_cached.cache_info().currsize == 2
+        assert _condition1_margin.cache_info().misses == 2
+        assert _condition1_margin.cache_info().currsize == 2
         assert base.p == coarse.p
         certify(self.PROBLEM, z, d, grid_points=11)
-        assert _extremal_cached.cache_info().misses == 2
+        assert _condition1_margin.cache_info().misses == 2
+        # The same n on another interval shares both entries: the problem is
+        # scale-equivariant, and p holds coefficients on g_k(x / a).
+        scaled = DesignProblem(4, 1e6)
+        cert = certify(scaled, 1e6 * z, optimal_design(scaled, 1e6 * z))
+        assert _condition1_margin.cache_info().misses == 2
+        assert _condition1_margin.cache_info().hits == 2
+        assert _extremal_coefficients.cache_info().misses == 1
+        assert cert.verifies
+        assert cert.p == base.p
+        assert cert.condition1_margin == base.condition1_margin
 
 
 def _mutated_designs(seed: int, count: int, max_n: int, draw_a) -> list:
@@ -362,3 +391,51 @@ class TestCondition3Mutations:
     def test_mutated_designs_fail(self):
         for problem, z, _, mutant in self.CASES:
             assert certify(problem, z, mutant).verdict == "failed", (problem, z)
+
+
+class TestEmittedPolynomialMutations:
+    """Conditions 1 and 2 evaluate the emitted coefficients: the closed-form
+    design verifies with both margins at the rounding level, and moving any
+    one coefficient by 1e-6 relative fails the certificate, for n = 1..30
+    and a in {1e-8, 1, 1e8}, with z = a in the last admissible interval."""
+
+    SCALES = (1e-8, 1.0, 1e8)
+
+    @pytest.fixture
+    def coefficients(self, monkeypatch):
+        # Replaces the cached coefficient function; the condition-1 cache,
+        # which calls it, is cleared on the way in and out.
+        def install(p):
+            monkeypatch.setattr(elfving, "_extremal_coefficients",
+                                lambda n: p)
+            _condition1_margin.cache_clear()
+        yield install
+        _condition1_margin.cache_clear()
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_unmutated_design_verifies(self, n):
+        for a in self.SCALES:
+            problem = DesignProblem(n, a)
+            cert = certify(problem, a, optimal_design(problem, a))
+            assert cert.verifies, (n, a)
+            assert abs(cert.condition1_margin) <= 1e-11, (n, a)
+            assert max(cert.condition2_residuals) <= 1e-11, (n, a)
+
+    def test_condition1_margin_is_not_a_constant(self):
+        margins = {_condition1_margin(n, 2001) for n in range(1, 31)}
+        assert len(margins) > 1
+        assert all(abs(m) <= 1e-11 for m in margins)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_moved_coefficient_fails(self, n, coefficients):
+        p = _extremal_coefficients(n)
+        designs = {a: optimal_design(DesignProblem(n, a), a)
+                   for a in self.SCALES}
+        for k in range(n):
+            for step in (-1e-6, 1e-6):
+                moved = list(p)
+                moved[k] *= 1.0 + step
+                coefficients(tuple(moved))
+                for a, design in designs.items():
+                    cert = certify(DesignProblem(n, a), a, design)
+                    assert cert.verdict == "failed", (n, a, k, step)

@@ -1,4 +1,5 @@
-"""numpy is loaded only by the code that works on arrays.
+"""numpy is loaded only by the code that works on arrays, and no command
+loads the exact-arithmetic modules fractions and decimal.
 
 Each check runs in a fresh interpreter, since this test process has numpy
 loaded already.
@@ -33,7 +34,8 @@ for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 2), (argv, code)
-    assert "numpy" not in sys.modules, argv
+    for name in ("numpy", "fractions", "decimal"):
+        assert name not in sys.modules, (name, argv)
 """
 
 

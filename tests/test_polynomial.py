@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopedesign import basis
 from slopedesign.designs import (DesignProblem, _rolle_root,
                                  admissible_region, basis_derivatives)
-from slopedesign.polynomial import Poly, chebyshev_T
+from slopedesign.polynomial import Poly
 
 SQRT2 = math.sqrt(2)
 
@@ -20,7 +21,9 @@ class TestPolyBasics:
         assert Poly((0.0, -1.0, 1.0))(1.0) == 0.0
 
     def test_chebyshev_endpoint_identity(self):
-        assert chebyshev_T(4)(1.0) == pytest.approx(1.0, abs=1e-14)
+        # T_4 = 8x^4 - 8x^2 + 1 in ascending powers.
+        assert Poly((1.0, 0.0, -8.0, 0.0, 8.0))(1.0) == pytest.approx(
+            1.0, abs=1e-14)
 
     def test_eval_near_root_of_reference_quadratic(self):
         p = Poly((8.6607, -40.981, 35.490))
@@ -75,51 +78,37 @@ class TestDerivative:
         assert abs(fd - exact) <= 1e-5 * scale
 
 
-class TestComposeAffine:
-    def test_linear(self):
-        q = Poly((0.0, 1.0)).compose_affine(2.0, 3.0)
-        assert q.coeffs == (3.0, 2.0)
-
-    def test_identity(self):
-        p = Poly((1.5, -2.0, 0.25, 7.0))
-        assert p.compose_affine(1.0, 0.0).coeffs == p.coeffs
-
-    def test_rescaled_chebyshev_2(self):
-        c = math.cos(math.pi / 4)
-        s2 = chebyshev_T(2).compose_affine(1.0 + c, -c)
-        assert s2(1.0) == pytest.approx(1.0, abs=1e-12)
-        assert s2(SQRT2 - 1.0) == pytest.approx(-1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    @pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (0.0, 1.0), (0.2, 2.7)])
-    def test_rescaled_chebyshev_supnorm(self, n, lo, hi):
-        q = chebyshev_T(n).compose_affine(2.0 / (hi - lo), -(hi + lo) / (hi - lo))
-        mx = max(abs(q(lo + (hi - lo) * k / 1000)) for k in range(1001))
-        assert 1.0 - 1e-9 <= mx <= 1.0 + 1e-9
+def chebyshev_factor(m, x):
+    """u T_m(x) at u = (1 + x) / 2, read off the unit basis
+    g_{m+1}(u) = u T_m(2u - 1) of slopedesign.basis."""
+    return basis.values(m + 1, 0.5 * (1.0 + x))[m]
 
 
 class TestChebyshev:
+    # The package evaluates the Chebyshev polynomials only through the
+    # recurrence of the unit basis.
+
     def test_first_few(self):
-        assert chebyshev_T(0).coeffs == (1.0,)
-        assert chebyshev_T(1).coeffs == (0.0, 1.0)
-        assert chebyshev_T(2).coeffs == (-1.0, 0.0, 2.0)
+        for x in (-1.0, -0.3, 0.0, 0.5, 1.0):
+            u = 0.5 * (1.0 + x)
+            for m, t in enumerate((1.0, x, 2.0 * x * x - 1.0)):
+                assert chebyshev_factor(m, x) == pytest.approx(u * t,
+                                                               abs=1e-15)
 
     def test_t4_coeffs_and_cosine_identity(self):
-        t4 = chebyshev_T(4)
-        assert t4.coeffs == (1.0, 0.0, -8.0, 0.0, 8.0)
-        assert abs(t4(math.cos(math.pi / 8))) < 1e-12
+        for x in (-1.0, -0.6, 0.1, 0.75, 1.0):
+            u = 0.5 * (1.0 + x)
+            t4 = 8.0 * x ** 4 - 8.0 * x ** 2 + 1.0
+            assert chebyshev_factor(4, x) == pytest.approx(u * t4, abs=1e-14)
+        assert abs(chebyshev_factor(4, math.cos(math.pi / 8))) < 1e-12
 
     @pytest.mark.parametrize("n", range(0, 16))
     def test_defining_identity_on_grid(self, n):
-        t = chebyshev_T(n)
         for k in range(21):
             theta = math.pi * k / 20
-            assert t(math.cos(theta)) == pytest.approx(
-                math.cos(n * theta), abs=1e-10)
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            chebyshev_T(-1)
+            x = math.cos(theta)
+            assert chebyshev_factor(n, x) == pytest.approx(
+                0.5 * (1.0 + x) * math.cos(n * theta), abs=1e-10)
 
 
 class TestRealRoots:

@@ -1,6 +1,7 @@
-"""The closed form, its variance and the oracle against the independent
-mpmath reference of the benchmark (``perfbench/reference.py``, which imports
-nothing from the package) over n = 1..30 and a in {1e-8, 1, 1e8}.
+"""The closed form, its variance, the emitted extremal polynomial and the
+oracle against the independent mpmath reference of the benchmark
+(``perfbench/reference.py``, which imports nothing from the package) over
+n = 1..30 and a in {1e-8, 1, 1e8}.
 
 The reference is evaluated on [0, 1] and carried to [0, a] by the exact
 scale equivariance of the problem, in 40-digit arithmetic: roots scale by a,
@@ -16,7 +17,7 @@ import pytest
 
 from slopedesign.designs import (DesignProblem, admissible_region,
                                  basis_derivatives, optimal_design, weights_at)
-from slopedesign.elfving import variance
+from slopedesign.elfving import extremal_value, variance
 from slopedesign.oracle import compare
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -86,3 +87,19 @@ def test_oracle_agrees_in_every_interval(n):
             z = float(u * a)
             report = compare(problem, z)
             assert report.covered and report.agrees, (n, a, z)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_emitted_polynomial_matches_reference(n):
+    # The certificate's polynomial sum_k p_k g_k(x / a) on the 2001-point
+    # grid of condition 1, to 1e-11 absolute.
+    ref = R.problem(n, 1.0)
+    us = [k / 2000 for k in range(2001)]
+    want = [ref.extremal(R.mp.mpf(u)) for u in us]
+    for a in SCALES:
+        problem = DesignProblem(n, a)
+        for u, w in zip(us, want):
+            got = extremal_value(problem, a * u)
+            # (a * u) / a may differ from u in the last bit, which moves S
+            # by at most 2 n^2 * 1.1e-16 = 2e-13.
+            assert abs(got - w) <= 1e-11, (n, a, u)
