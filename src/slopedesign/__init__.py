@@ -6,11 +6,10 @@ from importlib import import_module as _import_module
 
 from .designs import (AdmissibleRegion, BoundaryPoint, Design, DesignProblem,
                       NotCovered, admissible_region, basis_derivatives,
-                      lagrange_basis, optimal_design, support_points,
-                      weight_functions, weights_at)
+                      optimal_design, support_points, weights_at)
 from .elfving import (ElfvingCertificate, ZOutsideRegion, certify,
                       extremal_value, variance)
-from .polynomial import Degenerate, Poly
+from .polynomial import Degenerate
 
 __version__ = "0.1.0"
 
@@ -35,11 +34,10 @@ def __getattr__(name):
 __all__ = [
     "AdmissibleRegion", "BoundaryPoint", "Degenerate", "Design",
     "DesignProblem", "ElfvingCertificate", "GridSpec", "Infeasible",
-    "NotCovered", "NumericalFailure", "OracleReport", "Poly",
-    "SingularSupport", "ZOutsideRegion", "admissible_region",
-    "basis_derivatives", "certify", "compare", "extremal_value",
-    "lagrange_basis", "lp_c_optimal",
-    "optimal_design", "restricted_weights", "simplex_minimize",
-    "support_points", "variance", "weight_functions", "weights_at",
+    "NotCovered", "NumericalFailure", "OracleReport", "SingularSupport",
+    "ZOutsideRegion", "admissible_region", "basis_derivatives", "certify",
+    "compare", "extremal_value", "lp_c_optimal", "optimal_design",
+    "restricted_weights", "simplex_minimize", "support_points", "variance",
+    "weights_at",
     "__version__",
 ]

@@ -183,7 +183,20 @@ def _load_design_file(path: str) -> tuple[list, list]:
         doc = doc["result"]  # accept a `design` command envelope directly
     if not (isinstance(doc, dict) and "points" in doc and "weights" in doc):
         raise _DataError("design file must carry 'points' and 'weights'")
-    return doc["points"], doc["weights"]
+    return (_numbers("points", doc["points"]),
+            _numbers("weights", doc["weights"]))
+
+
+def _numbers(key: str, values) -> list:
+    # JSON true/false load as bool, an int subclass; they are not numbers.
+    if not (isinstance(values, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in values)):
+        raise _DataError(f"'{key}' must be a JSON array of numbers")
+    try:
+        return [float(v) for v in values]
+    except OverflowError as exc:  # an integer beyond the float range
+        raise _DataError(f"'{key}' must be finite: {exc}") from exc
 
 
 def _cmd_check(args) -> int:
@@ -191,11 +204,6 @@ def _cmd_check(args) -> int:
     _check_grid_and_targets(args, 2)
     warnings: list[str] = []
     points, weights = _load_design_file(args.design)
-    try:
-        points = [float(x) for x in points]
-        weights = [float(w) for w in weights]
-    except (TypeError, ValueError) as exc:
-        raise _DataError(f"points and weights must be numbers: {exc}") from exc
     if not all(math.isfinite(v) for v in points + weights):
         raise _DataError("points and weights must be finite")
     if not all(0.0 <= x <= problem.a for x in points):
@@ -338,6 +346,8 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) == "design":
         if args.z is None and args.z_list is None:
             parser.error("design requires --z or --z-list")
+        if args.z is not None and args.z_list is not None:
+            parser.error("design takes --z or --z-list, not both")
     elif getattr(args, "z", "absent") is None:
         parser.error(f"{args.command} requires --z")
     try:

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polynomial import Degenerate, Poly
+from .polynomial import Degenerate
 
 
 class NotCovered(Exception):
@@ -51,7 +51,8 @@ class DesignProblem:
         if n is None or isinstance(self.n, bool) or n < 1:
             raise ValueError("n must be an integer >= 1")
         object.__setattr__(self, "n", n)
-        if not (isinstance(self.a, (int, float)) and math.isfinite(self.a)
+        if not (isinstance(self.a, (int, float))
+                and not isinstance(self.a, bool) and math.isfinite(self.a)
                 and self.a > 0):
             raise ValueError("a must be a finite positive real")
         object.__setattr__(self, "a", float(self.a))
@@ -171,39 +172,6 @@ def basis_derivatives(problem: DesignProblem, z: float) -> tuple[float, ...]:
         dq = dq * d[i] + q
         q *= d[i]
     return tuple(out)
-
-
-@lru_cache(maxsize=256)
-def _basis_cached(problem: DesignProblem) -> tuple[Poly, ...]:
-    s = support_points(problem)
-    n = problem.n
-    out = []
-    for i in range(n):
-        num = Poly((0.0, 1.0))
-        den = s[i]
-        for j in range(n):
-            if j == i:
-                continue
-            num = num * Poly((-s[j], 1.0))
-            den *= s[i] - s[j]
-        out.append(num * (1.0 / den))
-    return tuple(out)
-
-
-def lagrange_basis(problem: DesignProblem) -> tuple[Poly, ...]:
-    """Interpolation basis without intercept: L_i(s_j) = delta_ij, L_i(0) = 0.
-
-    Each polynomial has degree exactly n and an exactly zero constant term.
-    A coefficient view for reporting; the design path never builds it.
-    """
-    return _basis_cached(problem)
-
-
-@lru_cache(maxsize=256)
-def weight_functions(problem: DesignProblem) -> tuple[Poly, ...]:
-    """Derivatives of the intercept-free Lagrange basis (degree n-1 each),
-    as monomial coefficients; :func:`basis_derivatives` evaluates them."""
-    return tuple(p.derivative() for p in _basis_cached(problem))
 
 
 def weights_at(problem: DesignProblem, z: float) -> tuple[float, ...]:

@@ -1,15 +1,18 @@
-"""Independent numerical cross-checks of the closed-form designs.
+"""Numerical cross-checks of the closed-form designs.
 
-Two routes that share no code with the closed-form construction:
+Two routes that do not use the closed-form weights:
 
 * a grid linear program over conv{+/- f(x)} whose optimal objective h gives
   the optimal variance h^2 among all designs supported on the grid, and
 * a fixed-support weight optimizer that solves the n x n moment system
   directly and minimizes the variance over weights in closed form.
 
-Inside the admissible region all three routes must agree; outside, the LP
-beats the fixed support by a measurable margin, which is exactly the evidence
-that the closed form does not extend there.
+Neither is independent of the closed-form support: the grid is augmented
+with it and the first LP solve of a problem starts from its columns, and the
+fixed-support route is pinned to it.  Inside the admissible region all three
+routes must agree; outside, the LP beats the fixed support by a measurable
+margin, which is exactly the evidence that the closed form does not extend
+there.
 """
 
 from __future__ import annotations

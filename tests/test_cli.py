@@ -189,6 +189,25 @@ class TestCheckCommand:
         assert err.count("\n") == 1
         assert "[0, a]" in err
 
+    @pytest.mark.parametrize("doc", [
+        {"points": "1", "weights": "1"},
+        {"points": [True], "weights": [1]},
+        {"points": {"1": 0}, "weights": [1]},
+        {"points": [1], "weights": [10 ** 400]},
+    ], ids=["strings", "bool", "object", "int-beyond-float"])
+    def test_points_and_weights_must_be_number_arrays(self, capsys, tmp_path,
+                                                      doc):
+        # A string or the keys of an object used to be read as points, and
+        # true as the point 1.
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "check", "--n", "1", "--a", "1",
+                             "--z", "0.5", "--design", str(f))
+        assert code == 65
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ")
+
 
 class TestOracleCommand:
     def test_inside_agrees(self, capsys):
@@ -325,6 +344,15 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["design", "--n", "2", "--a", "1"])
         assert err.value.code == 64
+
+    def test_design_takes_z_or_z_list_not_both(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["design", "--n", "2", "--a", "1", "--z", "0.9",
+                  "--z-list", "0.1"])
+        assert err.value.code == 64
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")
 
     @pytest.mark.parametrize("n, grid", [(4, "0"), (4, "1"), (1, "0")])
     def test_design_grid_below_two(self, capsys, n, grid):

@@ -5,9 +5,8 @@ import pytest
 
 from slopedesign.designs import (AdmissibleRegion, BoundaryPoint, Design,
                                  DesignProblem, NotCovered, admissible_region,
-                                 basis_derivatives, lagrange_basis,
-                                 optimal_design, support_points,
-                                 weight_functions, weights_at)
+                                 basis_derivatives, optimal_design,
+                                 support_points, weights_at)
 
 SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
@@ -24,6 +23,11 @@ ROOTS_N4 = {
 }
 
 
+# Targets of the n = 2 closed forms: both sides of each root, the nodes and
+# beyond the design interval.
+N2_TARGETS = (-1.0, 0.0, 0.1, SQRT2 - 1, 0.5, 0.8, 1.0, 2.5)
+
+
 def problem(n, a=1.0):
     return DesignProblem(n, a)
 
@@ -36,6 +40,11 @@ class TestTypes:
             DesignProblem(2, 0.0)
         with pytest.raises(ValueError):
             DesignProblem(2, math.inf)
+
+    @pytest.mark.parametrize("a", [True, False])
+    def test_problem_rejects_bool_a(self, a):
+        with pytest.raises(ValueError, match="a must be"):
+            DesignProblem(2, a)
 
     @pytest.mark.parametrize("n", [True, False, 2.0, "3"])
     def test_problem_rejects_non_integer_n(self, n):
@@ -87,51 +96,66 @@ class TestSupportPoints:
 
 
 class TestLagrangeBasis:
+    # The basis reproduces the model: sum_i s_i^k L_i(x) = x^k for k = 1..n,
+    # which holds exactly when L_i(s_j) = delta_ij and L_i(0) = 0.  Its
+    # derivative form is checked on the values of basis_derivatives.
     @pytest.mark.parametrize("n", range(1, 11))
     def test_interpolation_and_zero_intercept(self, n):
-        pr = problem(n)
-        basis = lagrange_basis(pr)
-        s = support_points(pr)
-        for i, b in enumerate(basis):
-            assert b.coeffs[0] == 0.0
-            assert b.degree == n
-            for j, x in enumerate(s):
-                assert b(x) == pytest.approx(
-                    1.0 if i == j else 0.0, abs=1e-9)
+        for a in (1e-8, 1.0, 1e8):
+            pr = problem(n, a)
+            s = support_points(pr)
+            zs = [a * u for u in (0.0, 0.05, 0.3, 0.5, 0.77, 1.0)] + list(s)
+            for z in zs:
+                d = basis_derivatives(pr, z)
+                for k in range(1, n + 1):
+                    terms = [si ** k * di for si, di in zip(s, d)]
+                    scale = math.fsum(abs(t) for t in terms)
+                    err = abs(math.fsum(terms) - k * z ** (k - 1))
+                    assert err <= 1e-14 * scale, (a, z, k)
 
     def test_n2_closed_form(self):
-        b1 = lagrange_basis(problem(2))[0]
-        scale = 1.0 / (4.0 - 3.0 * SQRT2)
-        assert b1.coeffs[0] == 0.0
-        assert b1.coeffs[1] == pytest.approx(-scale, abs=1e-12)
-        assert b1.coeffs[2] == pytest.approx(scale, abs=1e-12)
+        # L_1(z) = (z^2 - z) / (4 - 3 sqrt 2), so L_1'(z) = (2z - 1) /
+        # (4 - 3 sqrt 2).
+        for z in N2_TARGETS:
+            want = (2.0 * z - 1.0) / (4.0 - 3.0 * SQRT2)
+            assert basis_derivatives(problem(2), z)[0] == pytest.approx(
+                want, abs=1e-12)
 
 
 class TestWeightFunctions:
+    # The weight functions L_i' of the paper, as values of basis_derivatives.
+
     def test_n2_exact(self):
-        w1, w2 = weight_functions(problem(2))
-        assert w1.coeffs[0] == pytest.approx((4 + 3 * SQRT2) / 2, abs=1e-12)
-        assert w1.coeffs[1] == pytest.approx(-(4 + 3 * SQRT2), abs=1e-12)
-        assert w2.coeffs[0] == pytest.approx(-(2 + SQRT2) * (SQRT2 - 1) / 2,
-                                             abs=1e-12)
-        assert w2.coeffs[1] == pytest.approx(2 + SQRT2, abs=1e-12)
+        for z in N2_TARGETS:
+            w1, w2 = basis_derivatives(problem(2), z)
+            assert w1 == pytest.approx((4 + 3 * SQRT2) / 2 * (1 - 2 * z),
+                                       abs=1e-12)
+            assert w2 == pytest.approx((2 + SQRT2) * (z - (SQRT2 - 1) / 2),
+                                       abs=1e-12)
+
+    @staticmethod
+    def _assert_matches_printed(n, i, printed):
+        # The printed coefficients carry ~4-5 digits, so each is good to
+        # 5e-3 relative above magnitude 1; that bound is carried to the
+        # values on [0, 1].
+        pr = problem(n)
+        for m in range(101):
+            z = m / 100
+            got = basis_derivatives(pr, z)[i - 1]
+            want = math.fsum(c * z ** k for k, c in enumerate(printed))
+            bound = 5e-3 * math.fsum(max(1.0, abs(c)) * z ** k
+                                     for k, c in enumerate(printed))
+            assert abs(got - want) <= bound, z
 
     def test_n3_reference_decimals(self):
-        # The printed reference table carries only ~4 digits, so compare
-        # relative at 5e-3 per coefficient.
-        w2 = weight_functions(problem(3))[1]
-        for got, want in zip(w2.coeffs, (-1.8680, 22.767, -28.548)):
-            assert abs(got - want) <= 5e-3 * max(1.0, abs(want))
+        self._assert_matches_printed(3, 2, (-1.8680, 22.767, -28.548))
 
     def test_n4_reference_decimals(self):
-        w4 = weight_functions(problem(4))[3]
-        for got, want in zip(w4.coeffs, (-0.65327, 15.858, -61.552, 56.968)):
-            assert abs(got - want) <= 5e-3 * max(1.0, abs(want))
+        self._assert_matches_printed(4, 4, (-0.65327, 15.858, -61.552, 56.968))
 
     def test_n1_constant(self):
-        w = weight_functions(problem(1, 2.0))
-        assert len(w) == 1
-        assert w[0].coeffs == (0.5,)
+        for z in (-3.0, 0.0, 0.7, 2.0, 1e6):
+            assert basis_derivatives(problem(1, 2.0), z) == (0.5,)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_exactly_n_minus_1_roots(self, n):
@@ -241,14 +265,13 @@ class TestAdmissibleRegion:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_sign_pattern_per_interval(self, n):
         region = admissible_region(problem(n))
-        wfs = weight_functions(problem(n))
         for j, (lo, hi) in enumerate(region.intervals, start=1):
             lo = hi - 1.0 if lo == -math.inf else lo
             hi = lo + 1.0 if hi == math.inf else hi
             z = 0.5 * (lo + hi)
             common = (-1.0) ** (n + j)
-            for i, w in enumerate(wfs, start=1):
-                assert (-1.0) ** (n - i) * w(z) * common > 0
+            for i, d in enumerate(basis_derivatives(problem(n), z), start=1):
+                assert (-1.0) ** (n - i) * d * common > 0
 
     def test_locate_classification(self):
         region = admissible_region(problem(3))

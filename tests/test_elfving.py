@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,11 +9,13 @@ import pytest
 
 from slopedesign import basis, elfving
 from slopedesign.designs import (Design, DesignProblem, admissible_region,
-                                 optimal_design, support_points,
-                                 weight_functions)
+                                 optimal_design, support_points)
 from slopedesign.elfving import (ElfvingCertificate, ZOutsideRegion,
                                  _condition1_margin, _extremal_coefficients,
                                  certify, extremal_value, variance)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference as R  # noqa: E402
 
 SQRT2 = math.sqrt(2)
 
@@ -128,9 +132,8 @@ class TestVariance:
     def test_matches_absolute_derivative_sum_squared(self):
         pr = DesignProblem(3, 1.0)
         d = optimal_design(pr, 1.0)
-        total = math.fsum(abs(w(1.0)) for w in weight_functions(pr))
-        assert variance(pr, d, 1.0) == pytest.approx(
-            total ** 2, rel=1e-10)
+        want = float(R.problem(3, 1.0).optimal_variance(1.0))
+        assert variance(pr, d, 1.0) == pytest.approx(want, rel=1e-10)
 
     def test_generalized_inverse_independence(self):
         # The reference is c^T M^+ c in powers of x.  Well-spaced supports

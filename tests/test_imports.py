@@ -79,3 +79,12 @@ assert code == 70, code
 """)
     assert proc.returncode == 0, proc.stderr
     assert "synthetic failure" in proc.stderr
+
+
+def test_polynomial_module_holds_only_degenerate():
+    # The benchmark's span installer imports slopedesign.polynomial by name.
+    import slopedesign
+    import slopedesign.polynomial as polynomial
+    names = [n for n in vars(polynomial) if not n.startswith("__")]
+    assert names == ["Degenerate"]
+    assert slopedesign.Degenerate is polynomial.Degenerate

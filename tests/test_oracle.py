@@ -1,15 +1,21 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slopedesign import oracle
 from slopedesign.designs import (DesignProblem, admissible_region,
-                                 support_points, weight_functions, weights_at)
+                                 basis_derivatives, support_points,
+                                 weights_at)
 from slopedesign.oracle import (GridSpec, Infeasible, NumericalFailure,
                                 OracleReport, SingularSupport, compare,
                                 lp_c_optimal, restricted_weights,
                                 simplex_minimize)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference as R  # noqa: E402
 
 SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
@@ -80,7 +86,8 @@ class TestLpCOptimal:
     def test_n3_z1_matches_closed_form(self):
         pr = DesignProblem(3, 1.0)
         h, d = lp_c_optimal(pr, 1.0)
-        total = math.fsum(abs(w(1.0)) for w in weight_functions(pr))
+        ref = R.problem(3, 1.0)
+        total = float(R.mp.fsum(abs(v) for v in ref.derivs(1.0)))
         assert h == pytest.approx(total, rel=1e-2)
         spacing = 1.0 / 2000
         want = (3 * SQRT3 - 5, SQRT3 - 1, 1.0)
@@ -128,29 +135,27 @@ class TestRestrictedWeights:
         import random
         pr = DesignProblem(2, 1.0)
         sup = support_points(pr)
-        wfs = weight_functions(pr)
         big_f = np.vander(np.asarray(sup), 3, increasing=True)[:, 1:].T
         rng = random.Random(11)
         for _ in range(20):
             z = rng.uniform(-1.0, 2.0)
             beta = np.linalg.solve(big_f, [1.0, 2.0 * z])
-            for bi, w in zip(beta, wfs):
-                assert bi == pytest.approx(w(z), abs=1e-10)
+            for bi, d in zip(beta, basis_derivatives(pr, z)):
+                assert bi == pytest.approx(d, abs=1e-10)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_beta_identity_sweep(self, n):
         import random
         pr = DesignProblem(n, 1.0)
         sup = np.asarray(support_points(pr))
-        wfs = weight_functions(pr)
         big_f = np.vander(sup, n + 1, increasing=True)[:, 1:].T
         rng = random.Random(100 + n)
         for _ in range(20):
             z = rng.uniform(-1.0, 2.0)
             c = [k * z ** (k - 1) for k in range(1, n + 1)]
             beta = np.linalg.solve(big_f, c)
-            for bi, w in zip(beta, wfs):
-                assert bi == pytest.approx(w(z), rel=1e-9, abs=1e-9)
+            for bi, d in zip(beta, basis_derivatives(pr, z)):
+                assert bi == pytest.approx(d, rel=1e-9, abs=1e-9)
 
     def test_matches_closed_form_weights_inside_region(self):
         pr = DesignProblem(4, 1.0)

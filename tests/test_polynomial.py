@@ -1,81 +1,13 @@
+"""The Chebyshev polynomials of the unit basis and the real roots of the
+basis derivatives L_i'."""
+
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from slopedesign import basis
 from slopedesign.designs import (DesignProblem, _rolle_root,
                                  admissible_region, basis_derivatives)
-from slopedesign.polynomial import Poly
-
-SQRT2 = math.sqrt(2)
-
-
-def naive_eval(coeffs, x):
-    return math.fsum(c * x**k for k, c in enumerate(coeffs))
-
-
-class TestPolyBasics:
-    def test_eval_root_by_construction(self):
-        assert Poly((0.0, -1.0, 1.0))(1.0) == 0.0
-
-    def test_chebyshev_endpoint_identity(self):
-        # T_4 = 8x^4 - 8x^2 + 1 in ascending powers.
-        assert Poly((1.0, 0.0, -8.0, 0.0, 8.0))(1.0) == pytest.approx(
-            1.0, abs=1e-14)
-
-    def test_eval_near_root_of_reference_quadratic(self):
-        p = Poly((8.6607, -40.981, 35.490))
-        assert abs(p(0.2785)) < 2e-3
-
-    def test_degree_ignores_trailing_zeros(self):
-        assert Poly((1.0, 2.0, 0.0, 0.0)).degree == 1
-        assert Poly((0.0,)).degree is None
-        assert Poly((5.0,)).degree == 0
-
-    def test_empty_and_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            Poly(())
-        with pytest.raises(ValueError):
-            Poly((1.0, math.nan))
-
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=21),
-           st.floats(-10, 10))
-    @settings(max_examples=300)
-    def test_horner_matches_naive_power_sum(self, coeffs, x):
-        scale = max(1.0, math.fsum(abs(c) * abs(x)**k
-                                   for k, c in enumerate(coeffs)))
-        assert abs(Poly(coeffs)(x) - naive_eval(coeffs, x)) <= 1e-12 * scale
-
-
-class TestDerivative:
-    def test_square(self):
-        assert Poly((0.0, 0.0, 1.0)).derivative().coeffs == (0.0, 2.0)
-
-    def test_constant_gives_zero_polynomial(self):
-        d = Poly((5.0,)).derivative()
-        assert d.degree is None
-
-    def test_quadratic_basis_derivative_exact(self):
-        # (z^2 - z) / (4 - 3*sqrt(2)) differentiates to the closed form
-        # -(4 + 3*sqrt(2))/2 * (2z - 1).
-        p = Poly((0.0, -1.0, 1.0)) * (1.0 / (4.0 - 3.0 * SQRT2))
-        d = p.derivative()
-        assert d.coeffs[0] == pytest.approx((4 + 3 * SQRT2) / 2, abs=1e-12)
-        assert d.coeffs[1] == pytest.approx(-(4 + 3 * SQRT2), abs=1e-12)
-
-    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=9),
-           st.floats(-2, 2))
-    @settings(max_examples=200)
-    def test_matches_central_finite_difference(self, coeffs, x):
-        p = Poly(coeffs)
-        h = 1e-6
-        fd = (p(x + h) - p(x - h)) / (2 * h)
-        exact = p.derivative()(x)
-        scale = max(1.0, abs(exact),
-                    math.fsum(abs(c) * abs(x)**k for k, c in enumerate(coeffs)))
-        assert abs(fd - exact) <= 1e-5 * scale
 
 
 def chebyshev_factor(m, x):
