@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .polynomial import Degenerate
 
@@ -51,11 +51,15 @@ class DesignProblem:
         if n is None or isinstance(self.n, bool) or n < 1:
             raise ValueError("n must be an integer >= 1")
         object.__setattr__(self, "n", n)
-        if not (isinstance(self.a, (int, float))
-                and not isinstance(self.a, bool) and math.isfinite(self.a)
-                and self.a > 0):
+        a = math.nan
+        if isinstance(self.a, (int, float)) and not isinstance(self.a, bool):
+            try:
+                a = float(self.a)
+            except OverflowError:  # an int beyond the float range
+                pass
+        if not (math.isfinite(a) and a > 0):
             raise ValueError("a must be a finite positive real")
-        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "a", a)
 
 
 @dataclass(frozen=True)
@@ -93,14 +97,23 @@ class AdmissibleRegion:
     """Ordered union of open intervals for z, with the labeled boundary roots.
 
     ``intervals[j-1]`` is the j-th interval; the first lower endpoint is -inf
-    and the last upper endpoint is +inf.  ``boundary_roots[i-1]`` holds the
-    ascending roots of the i-th basis derivative.  ``a`` is the right end of
-    the design interval, which sets the width of the boundary band.
+    and the last upper endpoint is +inf.  ``a`` is the right end of the
+    design interval, which sets the width of the boundary band.
+
+    ``boundary_roots[i-1]`` holds the ascending roots of the i-th basis
+    derivative of the degree n = len(intervals).  The intervals use only
+    those of the first and the last; the other n - 2 sets are solved on the
+    first read of this attribute.
     """
 
     a: float
     intervals: tuple[tuple[float, float], ...]
-    boundary_roots: tuple[tuple[float, ...], ...]
+
+    @cached_property
+    def boundary_roots(self) -> tuple[tuple[float, ...], ...]:
+        n, a = len(self.intervals), self.a
+        return tuple(tuple(a * r for r in _unit_roots(n, i))
+                     for i in range(n))
 
     def locate(self, z: float):
         """Classify z: ("inside", j) with 1-based j, ("boundary", endpoint),
@@ -227,35 +240,39 @@ def _rolle_root(zeros: tuple[float, ...], k: int) -> float:
 
 
 @lru_cache(maxsize=256)
+def _unit_roots(n: int, i: int) -> tuple[float, ...]:
+    # The n - 1 ascending roots of L_i' (0-based i) on [0, 1].  L_i has the
+    # simple zeros 0 and s_j (j != i); by Rolle, each gap between consecutive
+    # zeros holds exactly one root of L_i'.
+    s, _ = _unit_nodes(n)
+    zeros = (0.0,) + s[:i] + s[i + 1:]
+    return tuple(_rolle_root(zeros, k) for k in range(n - 1))
+
+
+@lru_cache(maxsize=256)
 def admissible_region(problem: DesignProblem) -> AdmissibleRegion:
     """The n open z-intervals on which the closed-form design is optimal.
 
     Interval j runs from the (j-1)-th root of the first basis derivative to
-    the j-th root of the last one (conventionally -inf and +inf at the ends).
-    Each root is solved on [0, 1] down to the rounding level of double
-    precision, a few 1e-16 * a.
+    the j-th root of the last one (conventionally -inf and +inf at the ends),
+    so only those two root sets are solved here; the region's
+    ``boundary_roots`` solves the other n - 2 when it is first read.  Each
+    root is solved on [0, 1], once per n, down to the rounding level of
+    double precision, a few 1e-16 * a.
     """
     n, a = problem.n, problem.a
-    if n == 1:
-        return AdmissibleRegion(a, ((-math.inf, math.inf),), ((),))
-    s, _ = _unit_nodes(n)
-    # L_i has the simple zeros 0 and s_j (j != i); by Rolle, each gap between
-    # consecutive zeros holds exactly one root of L_i'.  Solved on [0, 1].
-    roots = []
-    for i in range(n):
-        zeros = (0.0,) + s[:i] + s[i + 1:]
-        roots.append(tuple(a * _rolle_root(zeros, k) for k in range(n - 1)))
+    first, last = _unit_roots(n, 0), _unit_roots(n, n - 1)
     intervals = []
     for j in range(1, n + 1):
-        lo = -math.inf if j == 1 else roots[0][j - 2]
-        hi = math.inf if j == n else roots[n - 1][j - 1]
+        lo = -math.inf if j == 1 else a * first[j - 2]
+        hi = math.inf if j == n else a * last[j - 1]
         if not lo < hi:
             raise Degenerate(f"interval {j} is empty: [{lo!r}, {hi!r}]")
         intervals.append((lo, hi))
     for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
         if not hi < lo:
             raise Degenerate("region intervals are not disjoint")
-    return AdmissibleRegion(a, tuple(intervals), tuple(roots))
+    return AdmissibleRegion(a, tuple(intervals))
 
 
 def optimal_design(problem: DesignProblem, z: float) -> Design:

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from slopedesign import designs
 from slopedesign.designs import (AdmissibleRegion, BoundaryPoint, Design,
-                                 DesignProblem, NotCovered, admissible_region,
+                                 DesignProblem, NotCovered, _rolle_root,
+                                 _unit_nodes, _unit_roots, admissible_region,
                                  basis_derivatives, optimal_design,
                                  support_points, weights_at)
+from slopedesign.elfving import certify
 
 SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
@@ -40,6 +43,11 @@ class TestTypes:
             DesignProblem(2, 0.0)
         with pytest.raises(ValueError):
             DesignProblem(2, math.inf)
+
+    @pytest.mark.parametrize("a", [10**400, -10**400])
+    def test_problem_rejects_int_beyond_float_range(self, a):
+        with pytest.raises(ValueError, match="a must be"):
+            DesignProblem(2, a)
 
     @pytest.mark.parametrize("a", [True, False])
     def test_problem_rejects_bool_a(self, a):
@@ -323,6 +331,64 @@ class TestAdmissibleRegion:
             except (NotCovered, BoundaryPoint):
                 covered = False
             assert (z in region) == covered, (u, z)
+
+
+def _eager_region(n, a):
+    # Every root set of the problem solved up front, and the intervals built
+    # from the first and the last, as the region was built before its root
+    # table became lazy.
+    s, _ = _unit_nodes(n)
+    roots = [tuple(a * _rolle_root((0.0,) + s[:i] + s[i + 1:], k)
+                   for k in range(n - 1)) for i in range(n)]
+    intervals = tuple(
+        (-math.inf if j == 1 else roots[0][j - 2],
+         math.inf if j == n else roots[n - 1][j - 1])
+        for j in range(1, n + 1))
+    return intervals, tuple(roots)
+
+
+class TestLazyRootSets:
+    # The intervals need only the roots of L_1' and L_n'; the other n - 2
+    # sets are solved when boundary_roots is first read.
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
+    def test_matches_eager_solve(self, n, a):
+        intervals, roots = _eager_region(n, a)
+        region = admissible_region(DesignProblem(n, a))
+        assert region.intervals == intervals
+        assert len(region.boundary_roots) == n
+        for i in range(n):
+            assert region.boundary_roots[i] == roots[i]
+
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_design_path_solves_two_root_sets(self, n, monkeypatch):
+        pr = DesignProblem(n, 1.0)
+        z1, z2 = (0.5 * (lo + hi)
+                  for lo, hi in admissible_region(pr).intervals[1:3])
+        calls = []
+
+        def counted(zeros, k):
+            calls.append(k)
+            return _rolle_root(zeros, k)
+
+        monkeypatch.setattr(designs, "_rolle_root", counted)
+        admissible_region.cache_clear()
+        _unit_roots.cache_clear()
+
+        def solve(z):
+            design = optimal_design(pr, z)
+            assert certify(pr, z, design).verdict == "verified"
+            weights_at(pr, z)
+
+        solve(z1)
+        assert len(calls) == 2 * (n - 1)
+        solve(z2)
+        assert len(calls) == 2 * (n - 1)
+        roots = admissible_region(pr).boundary_roots
+        assert len(calls) == n * (n - 1)
+        assert admissible_region(pr).boundary_roots is roots
+        assert len(calls) == n * (n - 1)
 
 
 class TestOptimalDesign:
