@@ -61,6 +61,55 @@ def _region_payload(region) -> list:
     return [[_endpoint(lo), _endpoint(hi)] for lo, hi in region.intervals]
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(o, pad: str = "\n") -> str:
+    """o as ``json.dumps(o, indent=2, sort_keys=True, allow_nan=False)``
+    writes it, for the str-keyed documents this module emits; ``pad`` is the
+    newline and indentation of the line o starts on.
+
+    With ``indent`` set, the stdlib encodes in Python through a chain of
+    generators (before Python 3.13); this builds each container with one
+    join, and a list of finite floats in a single one.
+    """
+    # No value is of two of these types but for bool, an int subclass, so
+    # any order of the checks that tests True and False before int gives
+    # json's output; the common types go first.
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError("Out of range float values are not JSON "
+                             f"compliant: {o!r}")
+        return float.__repr__(o)
+    if isinstance(o, str):
+        return _quote(o)
+    inner = pad + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if all(type(v) is float for v in o):
+            body = ("," + inner).join(map(float.__repr__, o))
+            if "n" not in body:  # no inf and no nan
+                return "[" + inner + body + pad + "]"
+        items = [_json(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_quote(k) + ": " + _json(o[k], inner) for k in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} "
+                    "is not JSON serializable")
+
+
 def _emit(command: str, inputs: dict, result, warnings: list[str]) -> None:
     doc = {
         "schema_version": "1",
@@ -69,7 +118,7 @@ def _emit(command: str, inputs: dict, result, warnings: list[str]) -> None:
         "result": result,
         "warnings": warnings,
     }
-    print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+    sys.stdout.write(_json(doc) + "\n")
 
 
 def _problem(args) -> DesignProblem:
@@ -276,14 +325,15 @@ def _cmd_plotdata(args) -> int:
             x = problem.a * k / (m - 1)
             out.write(f"{x:.17g},{extremal_value(problem, x):.17g}\n")
         return EXIT_OK
-    region = admissible_region(problem)
-    roots = [r for rs in region.boundary_roots for r in rs]
-    if roots:
-        lo, hi = min(roots), max(roots)
+    if problem.n == 1:
+        lo, hi = 0.0, problem.a
+    else:
+        # The smallest boundary root is the first root of L_n', the largest
+        # the last root of L_1': the inner ends of the two outer intervals.
+        region = admissible_region(problem)
+        lo, hi = region.intervals[0][1], region.intervals[-1][0]
         pad = 0.1 * (hi - lo)
         lo, hi = lo - pad, hi + pad
-    else:
-        lo, hi = 0.0, problem.a
     out.write("z," + ",".join(f"L{i}p" for i in range(1, problem.n + 1)) + "\n")
     for k in range(m):
         z = lo + (hi - lo) * k / (m - 1)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from ._record import Record
 from .polynomial import Degenerate
 
 
@@ -34,38 +34,37 @@ class BoundaryPoint(Exception):
         self.endpoint = endpoint
 
 
-@dataclass(frozen=True)
-class DesignProblem:
+class DesignProblem(Record):
     """Degree-n model x, x^2, ..., x^n observed on the interval [0, a]."""
 
+    __slots__ = ("n", "a")
     n: int
     a: float
 
-    def __post_init__(self):
+    def __init__(self, n, a):
         # operator.index takes any integer type (numpy's too) and no float;
         # bool is an int subclass and is refused on its own.
         try:
-            n = operator.index(self.n)
+            index = operator.index(n)
         except TypeError:
-            n = None
-        if n is None or isinstance(self.n, bool) or n < 1:
+            index = None
+        if index is None or isinstance(n, bool) or index < 1:
             raise ValueError("n must be an integer >= 1")
-        object.__setattr__(self, "n", n)
-        a = math.nan
-        if isinstance(self.a, (int, float)) and not isinstance(self.a, bool):
+        real = math.nan
+        if isinstance(a, (int, float)) and not isinstance(a, bool):
             try:
-                a = float(self.a)
+                real = float(a)
             except OverflowError:  # an int beyond the float range
                 pass
-        if not (math.isfinite(a) and a > 0):
+        if not (math.isfinite(real) and real > 0):
             raise ValueError("a must be a finite positive real")
-        object.__setattr__(self, "a", a)
+        super().__init__(index, real)
 
 
-@dataclass(frozen=True)
-class Design:
+class Design(Record):
     """Finite probability measure: strictly increasing points, positive weights."""
 
+    __slots__ = ("points", "weights")
     points: tuple[float, ...]
     weights: tuple[float, ...]
 
@@ -80,8 +79,7 @@ class Design:
             raise ValueError("weights must be positive")
         if abs(math.fsum(ws) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", ws)
+        super().__init__(pts, ws)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -92,8 +90,7 @@ class Design:
 _BOUNDARY_REL = 1e-10
 
 
-@dataclass(frozen=True)
-class AdmissibleRegion:
+class AdmissibleRegion(Record):
     """Ordered union of open intervals for z, with the labeled boundary roots.
 
     ``intervals[j-1]`` is the j-th interval; the first lower endpoint is -inf
@@ -106,6 +103,7 @@ class AdmissibleRegion:
     first read of this attribute.
     """
 
+    __slots__ = ("a", "intervals", "__dict__")  # __dict__ holds the roots
     a: float
     intervals: tuple[tuple[float, float], ...]
 

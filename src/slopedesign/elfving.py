@@ -12,10 +12,10 @@ the optimal variance.  The numerical checks work in the unit basis of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import basis
+from ._record import Record
 from .designs import (Design, DesignProblem, admissible_region,
                       basis_derivatives, support_points)
 
@@ -32,8 +32,7 @@ class ZOutsideRegion(Exception):
         self.region = region
 
 
-@dataclass(frozen=True)
-class ElfvingCertificate:
+class ElfvingCertificate(Record):
     """Outcome of the three optimality conditions for one (z, design) pair.
 
     p holds the coefficients p_1..p_n of the extremal polynomial on the unit
@@ -42,6 +41,8 @@ class ElfvingCertificate:
     the design is certified optimal with variance h^2.
     """
 
+    __slots__ = ("p", "h", "condition1_margin", "condition2_residuals",
+                 "condition3_residual", "verdict")
     p: tuple[float, ...]
     h: float
     condition1_margin: float
@@ -168,6 +169,19 @@ def _condition1_margin(n: int, grid_points: int) -> float:
     return max(map(abs, _unit_values(_extremal_coefficients(n), us))) - 1.0
 
 
+@lru_cache(maxsize=256)
+def _support_rows(n: int, a: float, points: tuple[float, ...]):
+    # The part of conditions 2 and 3 that depends on the design points only:
+    # the model vector g(x_i / a) of each point, p . g(x_i / a) for the
+    # coefficients p of _extremal_coefficients before certify fixes their
+    # sign, and the condition-2 residuals ||p . g| - 1|, which no sign
+    # changes.
+    p = _extremal_coefficients(n)
+    rows = tuple(basis.values(n, x / a) for x in points)
+    dots = tuple(math.fsum(pk * gk for pk, gk in zip(p, g)) for g in rows)
+    return rows, dots, tuple(abs(abs(v) - 1.0) for v in dots)
+
+
 def certify(problem: DesignProblem, z: float, design: Design,
             grid_points: int = 2001,
             tol: float = 1e-10) -> ElfvingCertificate:
@@ -182,9 +196,12 @@ def certify(problem: DesignProblem, z: float, design: Design,
     and (2) evaluate the emitted coefficients p on the unit basis of
     :mod:`slopedesign.basis`.  Neither p nor the condition-1 margin depends
     on a, z or the design, so p is computed once per n and the margin once
-    per (n, grid_points), and both are cached; conditions (2) and (3) are
-    evaluated on every call.  Condition (3) is checked in the same basis,
-    with v_i = +/-1 the sign of the polynomial at x_i: each row
+    per (n, grid_points), and both are cached.  The model vectors of the
+    design points, the values of p there up to its sign, and with them the
+    condition-(2) residuals depend only on (n, a, design.points), so they
+    are computed once per support and cached too; each call applies the
+    sign, the weights and the slope at z.  Condition (3) is checked in the
+    same basis, with v_i = +/-1 the sign of the polynomial at x_i: each row
     |g_k'(u_z) - a h sum_i w_i v_i g_k(u_i)| is divided by the size of its
     terms, |g_k'(u_z)| + a h sum_i |w_i g_k(u_i)|, so its margin has no
     units.  Every margin is compared with ``tol``.  z is located in the
@@ -206,19 +223,20 @@ def certify(problem: DesignProblem, z: float, design: Design,
     p = tuple(sign * pk for pk in _extremal_coefficients(n))
     cond1 = _condition1_margin(n, grid_points)
 
-    # Conditions 2 and 3 in the unit basis, from the model vector g(u_i) of
-    # each design point: p . g(u_i) must be +/-1, and with v_i its sign, row
-    # by row g'(u_z) = a h sum_i w_i v_i g(u_i), each row relative to the
-    # size of its own terms.
+    # Conditions 2 and 3 in the unit basis: p . g(u_i) must be +/-1 at each
+    # design point, and with v_i its sign, row by row
+    # g'(u_z) = a h sum_i w_i v_i g(u_i), each row relative to the size of
+    # its own terms.  Only the sign of p, the weights and the slope depend
+    # on z.
     a = problem.a
     ah = a * h
     c = basis.slope(n, z / a)
-    rep, size, cond2 = [0.0] * n, [0.0] * n, []
-    for x, w in zip(design.points, design.weights):
-        g = basis.values(n, x / a)
-        v = math.fsum(pk * gk for pk, gk in zip(p, g))
-        cond2.append(abs(abs(v) - 1.0))
-        wv = math.copysign(w, v)
+    rows, dots, cond2 = _support_rows(n, a, design.points)
+    rep, size = [0.0] * n, [0.0] * n
+    for g, dot, w in zip(rows, dots, design.weights):
+        # fsum rounds the exact sum symmetrically, so sign * dot is p . g(u_i)
+        # bit for bit; an exact zero keeps the sign fsum gave it.
+        wv = math.copysign(w, sign * dot if dot else dot)
         for k, gk in enumerate(g):
             rep[k] += wv * gk
             size[k] += abs(w * gk)
@@ -229,5 +247,5 @@ def certify(problem: DesignProblem, z: float, design: Design,
     cond3 = math.nan if any(math.isnan(r) for r in res) else max(res)
 
     ok = (cond1 <= tol and all(r <= tol for r in cond2) and cond3 <= tol)
-    return ElfvingCertificate(p, h, cond1, tuple(cond2), cond3,
+    return ElfvingCertificate(p, h, cond1, cond2, cond3,
                               "verified" if ok else "failed")

@@ -17,12 +17,12 @@ there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import basis as unit_basis  # `basis` names the LP basis here
+from ._record import Record
 from .designs import (BoundaryPoint, Design, DesignProblem, NotCovered,
                       optimal_design, support_points)
 from .elfving import _unit_slope, variance
@@ -41,15 +41,16 @@ class SingularSupport(ValueError):
     """Support points coincide or include 0, so the moment system is singular."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Uniform grid of m points spanning [0, a]."""
 
-    m: int = 2001
+    __slots__ = ("m",)
+    m: int
 
-    def __post_init__(self):
-        if self.m < 2:
+    def __init__(self, m: int = 2001):
+        if m < 2:
             raise ValueError("grid needs at least 2 points")
+        super().__init__(m)
 
     def points(self, problem: DesignProblem) -> np.ndarray:
         # a * k / (m-1) rather than linspace: grids with m and 2m-1 points
@@ -61,8 +62,10 @@ class GridSpec:
         return 1.0 / (self.m - 1)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
+    __slots__ = ("covered", "closed_form_variance", "lp_variance",
+                 "restricted_variance", "lp_design", "max_weight_discrepancy",
+                 "agrees", "margin_threshold")
     covered: bool
     closed_form_variance: float | None
     lp_variance: float

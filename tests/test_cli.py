@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from slopedesign.cli import main
+from slopedesign.designs import admissible_region
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import reference as R  # noqa: E402
@@ -270,6 +271,51 @@ class TestPlotdataCommand:
         # beyond the largest root the signs alternate ending positive
         for i, v in enumerate(last[1:], start=1):
             assert math.copysign(1.0, v) == (-1.0) ** (4 - i)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
+    def test_weightderivs_range_spans_all_boundary_roots(self, capsys, n, a):
+        # The z-range runs from the smallest to the largest root of every
+        # basis derivative, padded by a tenth on each side; the inner ends
+        # of the outer intervals are those two roots, bit for bit.
+        from slopedesign import DesignProblem, basis_derivatives
+        problem = DesignProblem(n, a)
+        roots = [r for rs in admissible_region(problem).boundary_roots
+                 for r in rs]
+        lo, hi = (min(roots), max(roots)) if roots else (0.0, a)
+        if roots:
+            pad = 0.1 * (hi - lo)
+            lo, hi = lo - pad, hi + pad
+        m = 7
+        rows = ["z," + ",".join(f"L{i}p" for i in range(1, n + 1))]
+        for k in range(m):
+            z = lo + (hi - lo) * k / (m - 1)
+            vals = ",".join(f"{v:.17g}" for v in basis_derivatives(problem, z))
+            rows.append(f"{z:.17g},{vals}")
+        code, out, _ = run(capsys, "plotdata", "--n", str(n), "--a", repr(a),
+                           "--what", "weightderivs", "--samples", str(m))
+        assert code == 0
+        assert out == "\n".join(rows) + "\n"
+
+    @pytest.mark.parametrize("n", [2, 12, 30])
+    def test_weightderivs_solves_two_root_sets(self, capsys, n, monkeypatch):
+        # A cold call solves the roots of L_1' and L_n' only, as the design
+        # path does, and not the other n - 2 sets.
+        from slopedesign import designs
+        calls = []
+        rolle_root = designs._rolle_root
+
+        def counted(zeros, k):
+            calls.append(k)
+            return rolle_root(zeros, k)
+
+        monkeypatch.setattr(designs, "_rolle_root", counted)
+        designs.admissible_region.cache_clear()
+        designs._unit_roots.cache_clear()
+        code, _, _ = run(capsys, "plotdata", "--n", str(n), "--a", "1",
+                         "--what", "weightderivs", "--samples", "5")
+        assert code == 0
+        assert len(calls) == 2 * (n - 1)
 
     def test_newline_terminated_deterministic(self, capsys):
         _, out1, _ = run(capsys, "plotdata", "--n", "2", "--a", "1",

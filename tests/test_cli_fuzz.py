@@ -2,7 +2,8 @@
 
 Whatever the input, ``main`` returns or exits with a code in
 {0, 2, 64, 65, 70}, lets no other exception escape, and on 0 or 2 a JSON
-command prints exactly one JSON document.
+command prints exactly one JSON document, byte for byte as
+``json.dumps(doc, indent=2, sort_keys=True)`` writes it, and a newline.
 """
 
 import contextlib
@@ -77,4 +78,5 @@ def test_cli_contract(case):
         code, out = _run(argv)
     assert code in CONTRACT, (argv, code)
     if code in (0, 2) and argv[0] != "plotdata":
-        json.loads(out)  # raises on a second document or trailing text
+        doc = json.loads(out)  # raises on a second document or trailing text
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"

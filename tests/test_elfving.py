@@ -12,7 +12,8 @@ from slopedesign.designs import (Design, DesignProblem, admissible_region,
                                  optimal_design, support_points)
 from slopedesign.elfving import (ElfvingCertificate, ZOutsideRegion,
                                  _condition1_margin, _extremal_coefficients,
-                                 certify, extremal_value, variance)
+                                 _support_rows, certify, extremal_value,
+                                 variance)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import reference as R  # noqa: E402
@@ -291,12 +292,18 @@ class TestCertify:
 def _clear_certify_caches():
     _extremal_coefficients.cache_clear()
     _condition1_margin.cache_clear()
+    _support_rows.cache_clear()
+
+
+def _margins(cert):
+    return (cert.p, cert.h, cert.condition1_margin,
+            cert.condition2_residuals, cert.condition3_residual, cert.verdict)
 
 
 class TestCertifyCache:
     """The z-independent part of certify is computed once: the coefficients
     of the extremal polynomial per n, the condition-1 margin per
-    (n, grid_points)."""
+    (n, grid_points), and the rows of conditions 2 and 3 per support."""
 
     PROBLEM = DesignProblem(4, 1.0)
     TARGETS = (-0.5, 0.03, 0.25, 0.3, 0.68, 0.95, 1.4)
@@ -345,6 +352,54 @@ class TestCertifyCache:
         assert cert.verifies
         assert cert.p == base.p
         assert cert.condition1_margin == base.condition1_margin
+
+    def test_support_rows_keyed_by_design_points(self):
+        # Two supports of one problem, then the first again: every call gives
+        # the margins of a call with cold caches, bit for bit.
+        z = 0.95
+        first = optimal_design(self.PROBLEM, z)
+        moved = Design([x * 0.999 for x in first.points], first.weights)
+        calls = [(z, first), (z, moved), (z, first), (0.25, first),
+                 (0.25, moved)]
+        cold = []
+        for zc, design in calls:
+            _clear_certify_caches()
+            cold.append(_margins(certify(self.PROBLEM, zc, design)))
+        _clear_certify_caches()
+        warm = [_margins(certify(self.PROBLEM, zc, design))
+                for zc, design in calls]
+        assert warm == cold
+        assert cold[0][-1] == "verified" and cold[1][-1] == "failed"
+        info = _support_rows.cache_info()
+        assert (info.misses, info.hits) == (2, 3)
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_batch_evaluates_each_design_point_once(self, n, monkeypatch,
+                                                    capsys):
+        # A 200-target design --z-list evaluates the model vector of each of
+        # the n support points once, whatever the number of targets.
+        from slopedesign.cli import main
+        region = admissible_region(DesignProblem(n, 1.0))
+        per = -(-200 // n)
+        zs = []
+        for lo, hi in region.intervals:
+            lo, hi = max(lo, -1.0), min(hi, 2.0)
+            zs += [lo + (hi - lo) * (k + 1) / (per + 1) for k in range(per)]
+        zs = zs[:200]
+        assert len(zs) == 200
+        calls = []
+        values = basis.values
+
+        def counted(m, u):
+            calls.append(u)
+            return values(m, u)
+
+        monkeypatch.setattr(basis, "values", counted)
+        _clear_certify_caches()
+        code = main(["design", "--n", str(n), "--a", "1",
+                     "--z-list", *map(repr, zs)])
+        assert code == 0, capsys.readouterr().err
+        assert len(calls) == n
 
 
 def _mutated_designs(seed: int, count: int, max_n: int, draw_a) -> list:
@@ -406,14 +461,17 @@ class TestEmittedPolynomialMutations:
 
     @pytest.fixture
     def coefficients(self, monkeypatch):
-        # Replaces the cached coefficient function; the condition-1 cache,
-        # which calls it, is cleared on the way in and out.
+        # Replaces the cached coefficient function; the condition-1 and the
+        # support-row caches, which call it, are cleared on the way in and
+        # out.
         def install(p):
             monkeypatch.setattr(elfving, "_extremal_coefficients",
                                 lambda n: p)
             _condition1_margin.cache_clear()
+            _support_rows.cache_clear()
         yield install
         _condition1_margin.cache_clear()
+        _support_rows.cache_clear()
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_unmutated_design_verifies(self, n):

@@ -1,5 +1,6 @@
-"""numpy is loaded only by the code that works on arrays, and no command
-loads the exact-arithmetic modules fractions and decimal.
+"""numpy is loaded only by the code that works on arrays, no command loads
+the exact-arithmetic modules fractions and decimal, and none loads
+dataclasses or inspect, which the records of the package do without.
 
 Each check runs in a fresh interpreter, since this test process has numpy
 loaded already.
@@ -34,7 +35,7 @@ for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 2), (argv, code)
-    for name in ("numpy", "fractions", "decimal"):
+    for name in ("numpy", "fractions", "decimal", "dataclasses", "inspect"):
         assert name not in sys.modules, (name, argv)
 """
 
