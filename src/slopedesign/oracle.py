@@ -91,11 +91,43 @@ class OracleReport(Record):
         }
 
 
-# --- dense-tableau primal simplex with Bland's rule --------------------------
+# --- primal simplex; the dense tableau is simplex_minimize's only ------------
 
 _PIVOT_TOL = 1e-11
 _MAX_ITER = 50000
 _TOL = 1e-9
+
+
+def _choose_pivot(reduced: np.ndarray, column, rhs: np.ndarray,
+                  basis: list[int], stall: int, tol: float):
+    """One simplex step: (entering column j, leaving row, B^-1 a_j, whether
+    the step is degenerate), or None when no reduced cost is below -tol.
+
+    ``column(j)`` gives B^-1 a_j and ``rhs`` is B^-1 b.  Entering rule: most
+    negative reduced cost while the objective moves, Bland's smallest-index
+    rule after 30 degenerate steps (anti-cycling).  Ratio test over the rows
+    whose pivot exceeds _PIVOT_TOL, ties broken by the smaller basic column.
+    """
+    if stall < 30:
+        col = int(np.argmin(reduced))
+        if reduced[col] >= -tol:
+            return None
+    else:
+        candidates = np.nonzero(reduced < -tol)[0]
+        if candidates.size == 0:
+            return None
+        col = int(candidates[0])
+    d = column(col)
+    best_key = None
+    best_row = -1
+    for i, (a, r) in enumerate(zip(d.tolist(), rhs.tolist())):
+        if a > _PIVOT_TOL:
+            key = (max(r, 0.0) / a, basis[i])
+            if best_key is None or key < best_key:
+                best_key, best_row = key, i
+    if best_row < 0:
+        raise NumericalFailure("unbounded pivot direction")
+    return col, best_row, d, best_key[0] <= 0.0
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -110,33 +142,16 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
 
 def _simplex_loop(tableau: np.ndarray, basis: list[int], ncols: int,
                   max_iter: int, tol: float) -> None:
-    # Last tableau row holds reduced costs; optimal when none is < -tol.
-    # Entering rule: most negative reduced cost while the objective moves,
-    # Bland's smallest-index rule during degenerate stalls (anti-cycling).
+    # The last tableau row holds the reduced costs, the last column B^-1 b.
     stall = 0
     for _ in range(max_iter):
-        reduced = tableau[-1, :ncols]
-        if stall < 30:
-            col = int(np.argmin(reduced))
-            if reduced[col] >= -tol:
-                return
-        else:
-            candidates = np.nonzero(reduced < -tol)[0]
-            if candidates.size == 0:
-                return
-            col = int(candidates[0])
-        best_key = None
-        best_row = -1
-        for i in range(len(basis)):
-            a = tableau[i, col]
-            if a > _PIVOT_TOL:
-                key = (max(tableau[i, -1], 0.0) / a, basis[i])
-                if best_key is None or key < best_key:
-                    best_key, best_row = key, i
-        if best_row < 0:
-            raise NumericalFailure("unbounded pivot direction")
-        stall = stall + 1 if best_key[0] <= 0.0 else 0
-        _pivot(tableau, basis, best_row, col)
+        step = _choose_pivot(tableau[-1, :ncols], lambda j: tableau[:-1, j],
+                             tableau[:-1, -1], basis, stall, tol)
+        if step is None:
+            return
+        col, row, _, degenerate = step
+        stall = stall + 1 if degenerate else 0
+        _pivot(tableau, basis, row, col)
     raise NumericalFailure("simplex iteration cap exceeded")
 
 
@@ -187,14 +202,15 @@ def _phase2(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
     _simplex_loop(tableau, basis, k, max_iter, tol)
 
 
-def _basic_solution(A: np.ndarray, b: np.ndarray, basis: list[int],
-                    rows: list[int]) -> np.ndarray:
+def _basic_solution(columns, b: np.ndarray, basis: list[int],
+                    size: int) -> np.ndarray:
     # One solve on the sorted basis, so that x depends only on the basis the
-    # simplex ends on and not on the pivots that led there.
+    # simplex ends on and not on the pivots that led there.  columns(order)
+    # gives the columns of the constraint matrix at the indices order.
     order = sorted(basis)
-    x = np.zeros(A.shape[1])
+    x = np.zeros(size)
     try:
-        x[order] = np.linalg.solve(A[np.ix_(rows, order)], b[rows])
+        x[order] = np.linalg.solve(columns(order), b)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular final basis: {exc}") from exc
     np.maximum(x, 0.0, out=x)
@@ -213,63 +229,99 @@ def simplex_minimize(cost, A, b, max_iter: int = _MAX_ITER,
     b = np.asarray(b, dtype=float)
     cost = np.asarray(cost, dtype=float)
     basis, rows = _two_phase(cost, A, b, max_iter, tol)
-    x = _basic_solution(A, b, basis, rows)
+    x = _basic_solution(lambda order: A[np.ix_(rows, order)], b[rows], basis,
+                        A.shape[1])
     return x, float(cost @ x)
 
 
 class _GridLP:
     """The grid LP of one problem: min sum(x) subject to [G, -G] x = rhs,
     x >= 0, with G[k-1, j] = g_k(u_j) of :mod:`slopedesign.basis` on the
-    unit grid u = x / a, and the basis the next solve starts from.
+    unit grid u = x / a, and the basis the next solve starts from.  Only G
+    is stored: column j >= m of the LP is the mirror -G[:, j - m].
 
     Only the right-hand side depends on the target, and the costs never
-    change, so every solve restarts the primal simplex from a basis: basic
-    columns that went negative are swapped for their mirrors, which leaves
-    it primal feasible, and phase 2 runs only if pricing finds a negative
-    reduced cost (Chvatal, Linear Programming, 1983, ch. 10).  The first
-    start is the closed-form support, which the grid holds exactly.
+    change, so every solve restarts a revised primal simplex from a basis
+    (Chvatal, Linear Programming, 1983, ch. 7-10): basic columns that went
+    negative are swapped for their mirrors, which leaves it primal feasible,
+    and y solving B^T y = 1 prices both halves with one product v = y.G, at
+    reduced costs 1 - v and 1 + v.  Pivots run only on a negative one; each
+    takes B^-1 (+/-g_j) as the entering column and updates B^-1 by rank one.
+    When pricing with the updated inverse finds none, the basis is priced
+    again from a fresh solve, so a drifted inverse cannot end the solve.
+    The first start is the closed-form support, which the grid holds exactly.
     """
 
     def __init__(self, problem: DesignProblem, grid: GridSpec):
         support = np.asarray(support_points(problem))
         self.points = np.unique(np.concatenate([grid.points(problem), support]))
-        cols = np.array(unit_basis.values(problem.n, self.points / problem.a))
-        self.matrix = np.hstack([cols, -cols])
+        self.G = np.array(unit_basis.values(problem.n, self.points / problem.a))
         self.basis: list[int] = np.searchsorted(self.points, support).tolist()
 
+    def columns(self, index) -> np.ndarray:
+        """The LP columns at ``index``: g(u_j) for j < m, else -g(u_{j-m})."""
+        index = np.asarray(index)
+        m = self.points.size
+        return self.G[:, index % m] * np.where(index < m, 1.0, -1.0)
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The optimal x, from a restart of the primal simplex."""
-        cost = np.ones(self.matrix.shape[1])
-        self.basis = self._restart(rhs, cost)
-        x = _basic_solution(self.matrix, rhs, self.basis, list(range(rhs.size)))
+        """The optimal x over [G, -G], from a restart of the primal simplex."""
+        self.basis = self._restart(rhs)
+        x = _basic_solution(self.columns, rhs, self.basis, 2 * self.points.size)
         # The optimal bases of a degenerate optimum differ in columns at 0;
         # solving on the positive columns makes x the same for all of them.
         support = np.flatnonzero(x > 1e-12 * x.sum())
         if support.size < rhs.size:
             x = np.zeros_like(x)
-            x[support] = np.linalg.lstsq(self.matrix[:, support], rhs,
+            x[support] = np.linalg.lstsq(self.columns(support), rhs,
                                          rcond=None)[0]
         return x
 
-    def _restart(self, rhs: np.ndarray, cost: np.ndarray) -> list[int]:
-        A = self.matrix
-        half = A.shape[1] // 2
+    def _prices(self, basis: list[int]) -> np.ndarray:
+        # v = y.G with B^T y = 1, from a fresh solve.
+        y = np.linalg.solve(self.columns(basis).T, np.ones(len(basis)))
+        return y @ self.G
+
+    def _restart(self, rhs: np.ndarray) -> list[int]:
+        G = self.G
+        m = self.points.size
         basis = np.array(self.basis)
-        x_b = np.linalg.solve(A[:, basis], rhs)
+        x_b = np.linalg.solve(self.columns(basis), rhs)
         neg = x_b < 0
-        basis[neg] = (basis[neg] + half) % (2 * half)
-        B = A[:, basis]
-        y = np.linalg.solve(B.T, cost[basis])
-        # Reduced costs are 1 - y.g(u_j) and 1 + y.g(u_j) for the mirror.
-        if 1.0 - np.abs(y @ A[:, :half]).max() >= -_TOL:
-            return basis.tolist()
-        tableau = np.empty((rhs.size + 1, A.shape[1] + 1))
-        tableau[:-1, :-1] = np.linalg.solve(B, A)
-        tableau[:-1, basis] = np.eye(rhs.size)
-        tableau[:-1, -1] = np.abs(x_b)
+        basis[neg] = (basis[neg] + m) % (2 * m)
         basis = basis.tolist()
-        _phase2(tableau, basis, cost, _MAX_ITER, _TOL)
-        return basis
+        v = self._prices(basis)
+        if 1.0 - np.abs(v).max() >= -_TOL:
+            return basis
+        inverse = np.linalg.inv(self.columns(basis))
+        x_b = np.abs(x_b)
+
+        def column(j: int) -> np.ndarray:
+            d = inverse @ G[:, j % m]
+            return d if j < m else -d
+
+        stall = 0
+        for _ in range(_MAX_ITER):
+            step = _choose_pivot(np.concatenate((1.0 - v, 1.0 + v)), column,
+                                 x_b, basis, stall, _TOL)
+            if step is None:
+                # Priced out by the updated inverse; price again afresh.
+                v = self._prices(basis)
+                if 1.0 - np.abs(v).max() >= -_TOL:
+                    return basis
+                inverse = np.linalg.inv(self.columns(basis))
+                x_b = inverse @ rhs
+                continue
+            col, row, d, degenerate = step
+            stall = stall + 1 if degenerate else 0
+            basis[row] = col
+            inverse[row] /= d[row]
+            x_b[row] /= d[row]
+            d[row] = 0.0
+            inverse -= np.outer(d, inverse[row])
+            x_b -= d * x_b[row]
+            v = inverse.sum(axis=0) @ G
+        raise NumericalFailure("simplex iteration cap exceeded")
 
 
 @lru_cache(maxsize=1)
@@ -285,9 +337,11 @@ def lp_c_optimal(problem: DesignProblem, z: float,
     over the uniform grid augmented with the exact closed-form support
     points; the optimal variance over that support set is h^2.  The LP is
     posed in the unit basis of :mod:`slopedesign.basis`, whose entries are at
-    most 1 whatever a is.  The LP of the last problem and grid is kept; its
-    first target starts from the closed-form support, a later one from the
-    last optimal basis, and no phase-1 simplex runs.
+    most 1 whatever a is.  The LP of the last problem and grid is kept as
+    G alone, the mirror columns -G staying implicit; its first target starts
+    from the closed-form support, a later one from the last optimal basis,
+    and a revised primal simplex restarts there with no phase 1.  x holds
+    the weight on +g(u_j) and then on -g(u_j); a point's mass is their sum.
     """
     if grid.m < problem.n + 1:
         raise ValueError("grid must have at least n+1 points")

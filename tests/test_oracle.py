@@ -303,7 +303,8 @@ def _two_phase_reference(lp, problem, z):
     """h from the two-phase simplex, run from the artificial basis on the
     matrix of ``lp``, and the sorted columns of its positive solution."""
     rhs, factor = oracle._unit_slope(problem, z)
-    x, _ = simplex_minimize(np.ones(lp.matrix.shape[1]), lp.matrix, rhs)
+    matrix = np.hstack([lp.G, -lp.G])
+    x, _ = simplex_minimize(np.ones(matrix.shape[1]), matrix, rhs)
     return float(x.sum()) * factor, np.flatnonzero(x).tolist()
 
 
@@ -362,10 +363,65 @@ class TestCrashStart:
         lp = oracle._grid_lp(problem, grid)
         start = [lp.points.size + 1, lp.points.size - 1]
         rhs, _ = oracle._unit_slope(problem, 1.0)
-        assert (np.linalg.solve(lp.matrix[:, start], rhs) > 0).all()
-        y = np.linalg.solve(lp.matrix[:, start].T, np.ones(2))
-        prices = y @ lp.matrix[:, :lp.points.size]
+        matrix = np.hstack([lp.G, -lp.G])
+        assert (np.linalg.solve(matrix[:, start], rhs) > 0).all()
+        y = np.linalg.solve(matrix[:, start].T, np.ones(2))
+        prices = y @ matrix[:, :lp.points.size]
         assert prices.max() <= 1.0 + 1e-12 and prices.min() < -1.0
         lp.basis = start
         assert lp_c_optimal(problem, 1.0, grid)[0] == pytest.approx(h,
                                                                    rel=1e-12)
+
+
+class TestRevisedRestart:
+    """The grid LP keeps only G; the restart prices both mirror halves with
+    one y.G product and updates B^-1 by rank one per pivot."""
+
+    SCALES = (1e-8, 1.0, 1e8)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_returned_basis_prices_out(self, n):
+        # Priced from a fresh solve on [G, -G] built here, every returned
+        # basis is optimal: |y.g(u)| <= 1 on every grid point.
+        grid = GridSpec(201)
+        for a in self.SCALES:
+            problem = DesignProblem(n, a)
+            oracle._grid_lp.cache_clear()
+            for z in _targets(problem):
+                lp_c_optimal(problem, z, grid)
+                lp = oracle._grid_lp(problem, grid)
+                basic = np.hstack([lp.G, -lp.G])[:, lp.basis]
+                y = np.linalg.solve(basic.T, np.ones(n))
+                assert np.abs(y @ lp.G).max() <= 1.0 + 1e-9, (n, a, z)
+
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_gap_target_allocates_less_than_g(self, n):
+        # No array with a column per LP column is built: the traced peak of
+        # a pivoting solve stays below the n x m' doubles of G itself.
+        import tracemalloc
+        problem, grid = DesignProblem(n, 1.0), GridSpec(2001)
+        zs = _targets(problem)
+        oracle._grid_lp.cache_clear()
+        lp_c_optimal(problem, zs[-1], grid)
+        lp = oracle._grid_lp(problem, grid)
+        start = sorted(lp.basis)
+        gap = zs[-2]  # the midpoint of the last gap
+        assert gap not in admissible_region(problem)
+        tracemalloc.start()
+        try:
+            lp_c_optimal(problem, gap, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(lp.basis) != start
+        assert peak < n * lp.points.size * 8
+
+    def test_iteration_cap_raises_on_a_gap_target(self, monkeypatch):
+        problem = DesignProblem(4, 1.0)
+        monkeypatch.setattr(oracle, "_MAX_ITER", 0)
+        oracle._grid_lp.cache_clear()
+        # A target inside the region is priced out at the start: no pivot.
+        lp_c_optimal(problem, 1.0)
+        assert 0.5 not in admissible_region(problem)
+        with pytest.raises(NumericalFailure):
+            lp_c_optimal(problem, 0.5)
