@@ -144,13 +144,16 @@ class _UsageExit(Exception):
     pass
 
 
+def _out_of_range(z: float) -> _UsageExit:
+    return _UsageExit(f"z={z!r} is out of range: its slope vector, weights, "
+                      "h, variance or a certificate margin is not finite")
+
+
 def _require_finite(z: float, values) -> None:
     # A target of huge magnitude overflows the slope vector; no JSON number
     # can carry the result.
     if not all(math.isfinite(v) for v in values):
-        raise _UsageExit(f"z={z!r} is out of range: its slope vector, "
-                         "weights, h, variance or a certificate margin is "
-                         "not finite")
+        raise _out_of_range(z)
 
 
 def _cert_numbers(cert) -> tuple[float, ...]:
@@ -169,6 +172,10 @@ def _design_payload(problem, z, args, warnings):
         return {"covered": False, "region": _region_payload(region)}, False
     except NotCovered as exc:
         return {"covered": False, "region": _region_payload(exc.region)}, False
+    except ValueError as exc:
+        # The design's checks: weights that overflow at a target of huge
+        # magnitude, or on an interval of subnormal length, are not finite.
+        raise _out_of_range(z) from exc
     cert = certify(problem, z, design, grid_points=args.grid,
                    tol=args.tol_cert)
     _require_finite(z, (*design.weights, *_cert_numbers(cert)))
@@ -305,6 +312,9 @@ def _cmd_oracle(args) -> int:
         raise _UsageExit(f"z={args.z!r} is out of range: {exc}") from exc
     except (NumericalFailure, SingularSupport, LinAlgError) as exc:
         raise _InternalError(exc) from exc
+    except ValueError as exc:
+        # The closed-form design's checks, as in _design_payload.
+        raise _out_of_range(args.z) from exc
     _require_finite(args.z, (report.lp_variance, report.restricted_variance,
                              report.closed_form_variance or 0.0,
                              report.margin_threshold))

@@ -61,8 +61,25 @@ class DesignProblem(Record):
         super().__init__(index, real)
 
 
+def _check_points(pts: tuple[float, ...]) -> None:
+    if not all(map(math.isfinite, pts)):
+        raise ValueError("points must be finite")
+    if any(b <= a for a, b in zip(pts, pts[1:])):
+        raise ValueError("points must be strictly increasing")
+
+
+def _check_weights(ws: tuple[float, ...]) -> None:
+    if not all(map(math.isfinite, ws)):
+        raise ValueError("weights must be finite")
+    if any(w <= 0 for w in ws):
+        raise ValueError("weights must be positive")
+    if abs(math.fsum(ws) - 1.0) > 1e-12:
+        raise ValueError("weights must sum to 1 within 1e-12")
+
+
 class Design(Record):
-    """Finite probability measure: strictly increasing points, positive weights."""
+    """Finite probability measure: strictly increasing finite points, positive
+    finite weights that sum to 1."""
 
     __slots__ = ("points", "weights")
     points: tuple[float, ...]
@@ -73,13 +90,19 @@ class Design(Record):
         ws = tuple(float(w) for w in weights)
         if len(pts) != len(ws) or not pts:
             raise ValueError("points and weights must be nonempty, same length")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ValueError("points must be strictly increasing")
-        if any(w <= 0 for w in ws):
-            raise ValueError("weights must be positive")
-        if abs(math.fsum(ws) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 within 1e-12")
+        _check_points(pts)
+        _check_weights(ws)
         super().__init__(pts, ws)
+
+    @classmethod
+    def _on_checked_points(cls, pts: tuple[float, ...],
+                           ws: tuple[float, ...]) -> "Design":
+        # Design(pts, ws) for tuples of floats of one length whose points
+        # passed _check_points already: only the weights are checked.
+        _check_weights(ws)
+        design = cls.__new__(cls)
+        Record.__init__(design, pts, ws)
+        return design
 
     def __len__(self) -> int:
         return len(self.points)
@@ -155,6 +178,17 @@ def support_points(problem: DesignProblem) -> tuple[float, ...]:
     (1 + cos(pi/2n)); the largest is exactly a.
     """
     return tuple(problem.a * x for x in _unit_nodes(problem.n)[0])
+
+
+@lru_cache(maxsize=8)
+def _design_support(n: int, a: float) -> tuple[float, ...]:
+    # support_points, checked as Design checks its points, once per problem
+    # for optimal_design.  A check that fails raises again at every call,
+    # since lru_cache keeps no exception.  Eight entries: a caller seldom
+    # comes back to a problem it has left, so more would hold stale ones.
+    pts = tuple(a * x for x in _unit_nodes(n)[0])
+    _check_points(pts)
+    return pts
 
 
 def basis_derivatives(problem: DesignProblem, z: float) -> tuple[float, ...]:
@@ -279,14 +313,21 @@ def optimal_design(problem: DesignProblem, z: float) -> Design:
     For n = 1 all mass sits at a regardless of z.  For n > 1 the design exists
     only for z strictly inside the admissible region; :class:`NotCovered` and
     :class:`BoundaryPoint` report the other cases explicitly; the boundary
-    band is that of :meth:`AdmissibleRegion.locate`.
+    band is that of :meth:`AdmissibleRegion.locate`.  The weights are
+    checked as :class:`Design` checks them at every call; a target of such
+    magnitude that they are not finite raises :class:`ValueError`.  The
+    support points depend only on (n, a), so they are converted and checked
+    once per problem and kept in a small cache; the design is the same
+    whether they come from it or not.
     """
     if problem.n == 1:
-        return Design((problem.a,), (1.0,))
+        return Design._on_checked_points(_design_support(1, problem.a), (1.0,))
     region = admissible_region(problem)
     kind, info = region.locate(z)
     if kind == "boundary":
         raise BoundaryPoint(z, info)
     if kind == "outside":
         raise NotCovered(z, region)
-    return Design(support_points(problem), weights_at(problem, z))
+    weights = weights_at(problem, z)
+    return Design._on_checked_points(_design_support(problem.n, problem.a),
+                                     weights)

@@ -81,6 +81,19 @@ def _unit_slope(problem: DesignProblem, z: float) -> tuple[list, float]:
     return [ck / scale for ck in c], scale / problem.a
 
 
+@lru_cache(maxsize=8)
+def _unit_rows(n: int, a: float, points: tuple[float, ...]):
+    # The read-only n x m array with columns g(x_i / a), once per set of
+    # points: variance scales its columns, the oracle's restricted_weights
+    # solves with it.  An entry that overflows is inf or nan, with no
+    # warning.  Eight entries, as for designs._design_support.
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.array(basis.values(n, np.asarray(points, dtype=float) / a))
+    rows.flags.writeable = False
+    return rows
+
+
 def variance(problem: DesignProblem, design: Design, z: float) -> float:
     """c^T M^- c for the slope c = f'(z); +inf when c is not estimable.
 
@@ -89,13 +102,17 @@ def variance(problem: DesignProblem, design: Design, z: float) -> float:
     B^T y = c gives c^T M^- c = |y|^2, whatever the generalized inverse.  c
     is not estimable when the relative least-squares residual exceeds 1e-8.
     Raises :class:`OverflowError` when the system is not finite, such as
-    when a design point lies far outside [0, a].
+    when a design point lies far outside [0, a].  The model vectors of the
+    design points depend on neither z nor the weights, so they are computed
+    once per (n, a, design.points) and kept in a small cache; each call
+    scales them by the square roots of the weights, the same floats as
+    without the cache.
     """
     import numpy as np
     c, factor = _unit_slope(problem, z)
+    rows = _unit_rows(problem.n, problem.a, design.points)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.asarray(design.points) / problem.a
-        bt = np.array(basis.values(problem.n, u)) * np.sqrt(design.weights)
+        bt = rows * np.sqrt(design.weights)
     if not np.isfinite(bt).all():
         raise OverflowError("the moment system is not finite")
     y, *_ = np.linalg.lstsq(bt, c, rcond=None)

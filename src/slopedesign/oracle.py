@@ -17,6 +17,8 @@ there.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +27,7 @@ from . import basis as unit_basis  # `basis` names the LP basis here
 from ._record import Record
 from .designs import (BoundaryPoint, Design, DesignProblem, NotCovered,
                       optimal_design, support_points)
-from .elfving import _unit_slope, variance
+from .elfving import _unit_rows, _unit_slope, variance
 
 
 class Infeasible(Exception):
@@ -48,9 +50,16 @@ class GridSpec(Record):
     m: int
 
     def __init__(self, m: int = 2001):
-        if m < 2:
+        # As DesignProblem takes n: any integer type, no float and no bool.
+        try:
+            index = operator.index(m)
+        except TypeError:
+            index = None
+        if index is None or isinstance(m, bool):
+            raise ValueError("grid size must be an integer")
+        if index < 2:
             raise ValueError("grid needs at least 2 points")
-        super().__init__(m)
+        super().__init__(index)
 
     def points(self, problem: DesignProblem) -> np.ndarray:
         # a * k / (m-1) rather than linspace: grids with m and 2m-1 points
@@ -355,6 +364,25 @@ def lp_c_optimal(problem: DesignProblem, z: float,
     return float(x.sum()) * factor, Design(pts[sel], w)
 
 
+@lru_cache(maxsize=8)
+def _pinned_matrix(n: int, a: float, support: tuple[float, ...]) -> np.ndarray:
+    # The z-independent part of restricted_weights, once per support: its
+    # checks and G.  A check that fails raises again on every call, since
+    # lru_cache keeps no exception.  Eight entries, as for
+    # designs._design_support.
+    s = np.asarray(support, dtype=float)
+    if s.size != n:
+        raise ValueError("support size must match n")
+    if not np.isfinite(s).all():
+        raise SingularSupport("support points must be finite")
+    tol = 1e-12 * np.max(np.abs(s))
+    if np.any(np.abs(s) <= tol):
+        raise SingularSupport("a support point sits at 0, where f vanishes")
+    if n > 1 and np.min(np.diff(np.sort(s))) <= tol:
+        raise SingularSupport("support points coincide within 1e-12 * max|s|")
+    return _unit_rows(n, a, support)
+
+
 def restricted_weights(problem: DesignProblem, z: float,
                        support) -> tuple[float, tuple[float, ...]]:
     """Best weights (and variance) for the slope at z on a pinned support.
@@ -362,18 +390,15 @@ def restricted_weights(problem: DesignProblem, z: float,
     Solves G beta = c with G = (g(u_1) ... g(u_n)) in the unit basis of
     :mod:`slopedesign.basis`; the variance sum_i beta_i^2 / w_i is minimized
     by w_i proportional to |beta_i|, with minimum (sum_i |beta_i|)^2.
+    :class:`SingularSupport` reports a point at 0, two points within
+    1e-12 * max|s| of each other, a point that is not finite or a singular
+    G.  The checks and G depend only on (n, a, support), so they are done
+    once per support and G is kept in a small cache; each call solves for
+    its own c, with the same floats as without the cache, and a support
+    that fails a check raises at every call.
     """
-    n = problem.n
-    s = np.asarray(support, dtype=float)
-    if s.size != n:
-        raise ValueError("support size must match n")
-    tol = 1e-12 * np.max(np.abs(s))
-    if np.any(np.abs(s) <= tol):
-        raise SingularSupport("a support point sits at 0, where f vanishes")
-    if n > 1 and np.min(np.diff(np.sort(s))) <= tol:
-        raise SingularSupport("support points coincide within 1e-12 * max|s|")
+    big_g = _pinned_matrix(problem.n, problem.a, tuple(map(float, support)))
     rhs, factor = _unit_slope(problem, z)
-    big_g = np.array(unit_basis.values(n, s / problem.a))
     try:
         beta = np.linalg.solve(big_g, rhs)
     except np.linalg.LinAlgError as exc:
@@ -381,6 +406,27 @@ def restricted_weights(problem: DesignProblem, z: float,
     total = float(np.sum(np.abs(beta)))
     root = total * factor
     return root * root, tuple(float(v) for v in np.abs(beta) / total)
+
+
+def _nearest(points: tuple[float, ...], x: float) -> tuple[int, float]:
+    """(k, |x - points[k]|) for the point nearest x, the first on a tie:
+    the index of the first minimum of [|x - s| for s in points], found by
+    bisection on the ascending points.
+
+    Rounding is monotone, so |x - s| computed in floats does not increase
+    over the points below x and does not decrease over those from x on;
+    only a tie below x can reach further back than the nearest point.
+    """
+    i = bisect_left(points, x)
+    if i == len(points):
+        k, dist = i - 1, abs(x - points[i - 1])
+    else:
+        k, dist = i, abs(x - points[i])
+        if i and abs(x - points[i - 1]) <= dist:
+            k, dist = i - 1, abs(x - points[i - 1])
+    while k and abs(x - points[k - 1]) == dist:
+        k -= 1
+    return k, dist
 
 
 def compare(problem: DesignProblem, z: float,
@@ -391,7 +437,15 @@ def compare(problem: DesignProblem, z: float,
     (grid discretization) and the restricted route within 1e-9; outside, the
     report exposes the LP-vs-restricted gap against ``margin_threshold``, a
     grid-resolution allowance max(1e-6, 3 * lp_variance * (n * spacing / a)^2),
-    written with spacing / a so that no power of a is formed.
+    written with spacing / a so that no power of a is formed.  Each LP point
+    is matched to the nearest closed-form point (the first on a tie, found
+    by bisection) when it lies within half a grid spacing of it.
+
+    The closed-form support of a problem does not depend on z, so
+    optimal_design, restricted_weights and variance check it and build its
+    matrix in the unit basis once per problem, in small caches, and do only
+    the work of z at each call.  The cached values are the floats each call
+    would compute, so no output depends on what the caches hold.
     """
     n, a = problem.n, problem.a
     try:
@@ -414,9 +468,8 @@ def compare(problem: DesignProblem, z: float,
     lp_on_support = [0.0] * len(closed.points)
     stray = 0.0
     for x, w in zip(lp_design.points, lp_design.weights):
-        dists = [abs(x - s) for s in closed.points]
-        k = dists.index(min(dists))
-        if dists[k] <= 0.5 * spacing:
+        k, dist = _nearest(closed.points, x)
+        if dist <= 0.5 * spacing:
             lp_on_support[k] += w
         else:
             stray = max(stray, w)

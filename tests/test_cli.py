@@ -615,3 +615,12 @@ class TestOverflowingTargets:
         code, out, err = run(capsys, "oracle", "--n", "4", "--a", "1",
                              "--z", "1e300")
         self._assert_rejected(code, out, err, "1e300")
+
+    # The slope vector is finite and the closed-form weights are not, so
+    # optimal_design refuses them inside compare.
+    @pytest.mark.parametrize("command,n,a,z", [
+        ("oracle", "4", "1", "1e90"), ("oracle", "2", "1e-310", "0"),
+        ("design", "2", "1e-310", "0")])
+    def test_weights_that_overflow(self, capsys, command, n, a, z):
+        code, out, err = run(capsys, command, "--n", n, "--a", a, "--z", z)
+        self._assert_rejected(code, out, err, z)

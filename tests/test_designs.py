@@ -74,6 +74,36 @@ class TestTypes:
         d = Design((0.5, 1.0), (0.25, 0.75))
         assert len(d) == 2
 
+    @pytest.mark.parametrize("points,weights", [
+        ((math.nan, 1.0), (0.5, 0.5)),
+        ((0.5, math.inf), (0.5, 0.5)),
+        ((-math.inf, 1.0), (0.5, 0.5)),
+        ((0.5, 1.0), (math.nan, 0.5)),
+        ((0.5, 1.0), (math.inf, 0.5)),
+    ])
+    def test_design_rejects_values_that_are_not_finite(self, points, weights):
+        with pytest.raises(ValueError, match="finite"):
+            Design(points, weights)
+
+    def test_optimal_design_rejects_weights_that_overflow(self):
+        # At z = 1e300 the basis derivatives overflow and the weights are
+        # nan; the support of the problem is cached and still valid.
+        problem = DesignProblem(4, 1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                optimal_design(problem, 1e300)
+        assert optimal_design(problem, 1.0).points == support_points(problem)
+
+    def test_optimal_design_checks_the_support_once_per_problem(self):
+        designs._design_support.cache_clear()
+        for k, n in enumerate(range(1, 11), start=1):
+            problem = DesignProblem(n, 0.5 * n)
+            for _ in range(3):
+                d = optimal_design(problem, problem.a)
+                assert d == Design(support_points(problem), d.weights)
+            info = designs._design_support.cache_info()
+            assert (info.misses, info.currsize) == (k, min(k, 8))
+
 
 class TestSupportPoints:
     def test_n2_exact(self):

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from pathlib import Path
@@ -5,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slopedesign import oracle
-from slopedesign.designs import (DesignProblem, admissible_region,
-                                 basis_derivatives, support_points,
-                                 weights_at)
+from slopedesign import basis, designs, elfving, oracle
+from slopedesign.designs import (Design, DesignProblem, admissible_region,
+                                 basis_derivatives, optimal_design,
+                                 support_points, weights_at)
+from slopedesign.elfving import certify, variance
 from slopedesign.oracle import (GridSpec, Infeasible, NumericalFailure,
                                 OracleReport, SingularSupport, compare,
                                 lp_c_optimal, restricted_weights,
@@ -67,6 +69,18 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSpec(1)
+
+    @pytest.mark.parametrize("m", [20.5, 2001.0, True, "201"])
+    def test_rejects_a_size_that_is_not_an_integer(self, m):
+        # GridSpec(20.5) used to span [0, 1.0256 a], so the LP could place
+        # a design point outside [0, a].
+        with pytest.raises(ValueError):
+            GridSpec(m)
+
+    def test_accepts_numpy_integer(self):
+        grid = GridSpec(np.int64(201))
+        assert type(grid.m) is int
+        assert grid == GridSpec(201)
 
     def test_points_span_and_nest(self):
         pr = DesignProblem(2, 3.0)
@@ -175,6 +189,32 @@ class TestRestrictedWeights:
         with pytest.raises(ValueError):
             restricted_weights(DesignProblem(3, 1.0), 0.5, (0.5, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_support_point_not_finite(self, bad):
+        # A nan point once gave (nan, (nan, nan, nan)).  No exception is
+        # cached, so the check raises at every call.
+        oracle._pinned_matrix.cache_clear()
+        for _ in range(3):
+            with pytest.raises(SingularSupport):
+                restricted_weights(DesignProblem(3, 1.0), 0.5,
+                                   (bad, 0.5, 1.0))
+        assert oracle._pinned_matrix.cache_info().currsize == 0
+
+    def test_singular_support_raises_at_every_call(self):
+        oracle._pinned_matrix.cache_clear()
+        problem = DesignProblem(2, 1.0)
+        for support in [(0.0, 1.0), (0.5, 0.5 + 1e-13)] * 2:
+            with pytest.raises(SingularSupport):
+                restricted_weights(problem, 0.5, support)
+        assert oracle._pinned_matrix.cache_info().currsize == 0
+
+    def test_support_of_any_sequence_type(self):
+        problem = DesignProblem(3, 1.0)
+        sup = support_points(problem)
+        want = restricted_weights(problem, 0.4, sup)
+        assert restricted_weights(problem, 0.4, list(sup)) == want
+        assert restricted_weights(problem, 0.4, np.array(sup)) == want
+
 
 class TestCompare:
     def test_inside_region_agrees(self):
@@ -214,6 +254,22 @@ class TestCompare:
         for z in _targets(problem):
             rep = compare(problem, z)
             assert rep.agrees or not rep.covered
+
+    def test_nearest_is_the_first_minimum_of_the_distances(self):
+        # The bisection of compare against the n distances per LP point it
+        # replaced: the same index and distance, ties included.
+        rng = np.random.default_rng(5)
+        cases = [((1.0, 1.0 + 2.0 ** -52), x) for x in (1e17, -1e17, 1.0)]
+        for _ in range(300):
+            size = int(rng.integers(1, 10))
+            pts = tuple(sorted(set(rng.uniform(0.0, 1.0, size).tolist())))
+            mids = [0.5 * (s + t) for s, t in zip(pts, pts[1:])]
+            for x in [*rng.uniform(-0.2, 1.2, 4).tolist(), *pts, *mids]:
+                cases.append((pts, x))
+        for pts, x in cases:
+            dists = [abs(x - s) for s in pts]
+            k = dists.index(min(dists))
+            assert oracle._nearest(pts, x) == (k, dists[k])
 
     def test_as_dict_parallel_arrays(self):
         doc = compare(DesignProblem(2, 1.0), 0.9, GridSpec(201)).as_dict()
@@ -297,6 +353,92 @@ class TestWarmStart:
         var, _ = restricted_weights(problem, a / 2, support_points(problem))
         assert h * a == pytest.approx(h1, rel=1e-12)
         assert var * a * a == pytest.approx(var1, rel=1e-12)
+
+
+_SUPPORT_CACHES = (designs._design_support, elfving._unit_rows,
+                   oracle._pinned_matrix)
+
+
+def _clear_support_caches():
+    for cache in _SUPPORT_CACHES:
+        cache.cache_clear()
+
+
+class TestSupportCaches:
+    """optimal_design, restricted_weights and variance check the closed-form
+    support and build its unit-basis matrix once per problem; what the
+    caches hold never shows in an output."""
+
+    @pytest.mark.parametrize("a", [0.1, 1.0, 2.0])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_warm_compare_matches_cold(self, n, a):
+        # Both passes start the LP from the closed-form support and run the
+        # targets in the same order, so only the support caches differ.
+        problem, grid = DesignProblem(n, a), GridSpec()
+        zs = _targets(problem)
+        oracle._grid_lp.cache_clear()
+        cold = []
+        for z in zs:
+            _clear_support_caches()
+            cold.append(compare(problem, z, grid).as_dict())
+        oracle._grid_lp.cache_clear()
+        warm = [compare(problem, z, grid).as_dict() for z in zs]
+        assert json.dumps(warm) == json.dumps(cold)
+
+    @pytest.mark.parametrize("a", [0.1, 1.0, 2.0])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_warm_design_and_certificate_match_cold(self, n, a):
+        problem = DesignProblem(n, a)
+        region = admissible_region(problem)
+        zs = [z for z in _targets(problem)
+              if n == 1 or region.locate(z)[0] == "inside"]
+
+        def outputs():
+            design = optimal_design(problem, z)
+            cert = certify(problem, z, design)
+            return json.dumps([design.points, design.weights,
+                               cert.as_dict()])
+
+        for z in zs:
+            _clear_support_caches()
+            cold = outputs()
+            assert outputs() == cold
+
+    def test_each_cache_misses_once_per_problem(self):
+        _clear_support_caches()
+        for k, n in enumerate(range(1, 13), start=1):
+            problem = DesignProblem(n, 1.0 + 0.1 * n)
+            for z in _targets(problem):
+                compare(problem, z, GridSpec(201))
+            for cache in _SUPPORT_CACHES:
+                info = cache.cache_info()
+                assert (info.misses, info.maxsize) == (k, 8)
+                assert info.currsize == min(k, 8)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_variance_off_the_support(self, n):
+        # Designs of 2n points and of n - 1 points, against variance as it
+        # was written before the model vectors were cached.
+        problem = DesignProblem(n, 1.7)
+        rng = np.random.default_rng(n)
+        for size in (2 * n, n - 1):
+            if size == 0:
+                continue
+            w = rng.uniform(0.1, 1.0, size)
+            design = Design(np.sort(rng.uniform(0.05, 1.7, size)), w / w.sum())
+            for z in (-0.3, 0.4, 1.7, 2.5):
+                c, factor = elfving._unit_slope(problem, z)
+                u = np.asarray(design.points) / problem.a
+                bt = (np.array(basis.values(n, u))
+                      * np.sqrt(design.weights))
+                y, *_ = np.linalg.lstsq(bt, c, rcond=None)
+                want = math.inf
+                if np.linalg.norm(bt @ y - c) <= 1e-8 * np.linalg.norm(c):
+                    want = (float(np.linalg.norm(y)) * factor) ** 2
+                assert math.isinf(want) == (size < n)
+                elfving._unit_rows.cache_clear()
+                assert variance(problem, design, z) == want  # cold
+                assert variance(problem, design, z) == want  # warm
 
 
 def _two_phase_reference(lp, problem, z):
