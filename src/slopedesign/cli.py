@@ -280,6 +280,10 @@ def _cmd_check(args) -> int:
     try:
         cert = certify(problem, args.z, design, grid_points=args.grid,
                        tol=args.tol_cert)
+    except ArithmeticError as exc:
+        # h sums the basis derivatives at z, which overflow at a target of
+        # huge magnitude or on an interval of subnormal length.
+        raise _out_of_range(args.z) from exc
     except ZOutsideRegion as exc:
         result = {"verdict": "z_outside_region",
                   "region": _region_payload(exc.region),
@@ -361,7 +365,9 @@ def _add_common(p, with_z=True, with_tols=True):
         p.add_argument("--tol-cert", dest="tol_cert", type=float, default=1e-10,
                        help="certificate margin tolerance (finite, > 0)")
         p.add_argument("--grid", type=int, default=2001,
-                       help="grid points for certificate / oracle checks")
+                       help="checked (>= 2) and echoed in inputs; no "
+                            "certificate reads it, since condition 1 takes "
+                            "no grid (only the oracle's LP does)")
 
 
 def _build_parser() -> _Parser:
@@ -388,7 +394,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="cross-check closed form vs LP and "
                                       "restricted-weight oracles")
     _add_common(p, with_tols=False)
-    p.add_argument("--grid", type=int, default=2001)
+    p.add_argument("--grid", type=int, default=2001,
+                   help="grid points of the LP (>= n + 1)")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("plotdata", help="CSV curves (extremal polynomial or "

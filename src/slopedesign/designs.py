@@ -315,10 +315,10 @@ def optimal_design(problem: DesignProblem, z: float) -> Design:
     :class:`BoundaryPoint` report the other cases explicitly; the boundary
     band is that of :meth:`AdmissibleRegion.locate`.  The weights are
     checked as :class:`Design` checks them at every call; a target of such
-    magnitude that they are not finite raises :class:`ValueError`.  The
-    support points depend only on (n, a), so they are converted and checked
-    once per problem and kept in a small cache; the design is the same
-    whether they come from it or not.
+    magnitude, or an interval so short, that they are not finite raises
+    :class:`ValueError`.  The support points depend only on (n, a), so they
+    are converted and checked once per problem and kept in a small cache;
+    the design is the same whether they come from it or not.
     """
     if problem.n == 1:
         return Design._on_checked_points(_design_support(1, problem.a), (1.0,))
@@ -328,6 +328,11 @@ def optimal_design(problem: DesignProblem, z: float) -> Design:
         raise BoundaryPoint(z, info)
     if kind == "outside":
         raise NotCovered(z, region)
-    weights = weights_at(problem, z)
+    try:
+        weights = weights_at(problem, z)
+    except ArithmeticError as exc:
+        # A basis derivative or their sum overflows, or a scale D_i * a of
+        # basis_derivatives underflows to 0: the weights are not finite.
+        raise ValueError("weights must be finite") from exc
     return Design._on_checked_points(_design_support(problem.n, problem.a),
                                      weights)

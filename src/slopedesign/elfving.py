@@ -16,8 +16,8 @@ from functools import lru_cache
 
 from . import basis
 from ._record import Record
-from .designs import (Design, DesignProblem, admissible_region,
-                      basis_derivatives, support_points)
+from .designs import (Design, DesignProblem, _unit_nodes, admissible_region,
+                      basis_derivatives)
 
 # numpy is imported inside variance only, so that the certificate and the
 # closed form run without it.
@@ -70,15 +70,18 @@ class ElfvingCertificate(Record):
 _RTOL = 1e-8  # variance: the estimability bound on the relative residual
 
 
-def _unit_slope(problem: DesignProblem, z: float) -> tuple[list, float]:
+@lru_cache(maxsize=1)
+def _unit_slope(problem: DesignProblem, z: float) -> tuple[tuple, float]:
     # The slope in the unit basis divided by its largest entry, so that no
     # norm or product of it overflows, and the factor that turns h for it
-    # into h for f'(z).
+    # into h for f'(z).  One entry: oracle.compare's three routes,
+    # lp_c_optimal, restricted_weights and variance, each ask for it at the
+    # same (problem, z), and the first computes it for all.
     c = basis.slope(problem.n, z / problem.a)
     scale = max(abs(ck) for ck in c)
     if not math.isfinite(scale):
         raise OverflowError("the slope vector is not finite")
-    return [ck / scale for ck in c], scale / problem.a
+    return tuple(ck / scale for ck in c), scale / problem.a
 
 
 @lru_cache(maxsize=8)
@@ -151,39 +154,35 @@ def _extremal_coefficients(n: int) -> tuple[float, ...]:
     return tuple(p)
 
 
-def _unit_values(p: tuple[float, ...], us) -> list[float]:
-    # sum_k p_k g_k(u) = u sum_k p_k T_{k-1}(2u - 1) at every u, by
-    # Clenshaw's recurrence; one loop over the points, since the
-    # condition-1 sweep runs it on the whole grid.
-    p0, rest = p[0], p[:0:-1]
-    out = []
-    for u in us:
-        t2 = 4.0 * u - 2.0
-        b1 = b2 = 0.0
-        for pk in rest:
-            b1, b2 = pk + t2 * b1 - b2, b1
-        out.append(u * (p0 + 0.5 * t2 * b1 - b2))
-    return out
-
-
 def extremal_value(problem: DesignProblem, x: float) -> float:
     """The extremal polynomial at x: sum_k p_k g_k(x / a) for the
     coefficients that certify emits, evaluated by Clenshaw's recurrence.
 
     Its sign is the one that is +1 at a.
     """
-    return _unit_values(_extremal_coefficients(problem.n),
+    return basis.series(_extremal_coefficients(problem.n),
                         (float(x) / problem.a,))[0]
 
 
 @lru_cache(maxsize=256)
-def _condition1_margin(n: int, grid_points: int) -> float:
-    # max |S| - 1 over the unit grid augmented with the critical points of S,
-    # the interior extremal points: every unit support point but 1.  Like
-    # the coefficients, it depends on neither a, z nor the design.
-    us = [k / (grid_points - 1) for k in range(grid_points)]
-    us.extend(support_points(DesignProblem(n, 1.0))[:-1])
-    return max(map(abs, _unit_values(_extremal_coefficients(n), us))) - 1.0
+def _condition1_margin(n: int) -> float:
+    # max |S| - 1 over [0, 1], where the sup is reached: at 0, at 1 or at a
+    # critical point of S.  For the exact p those are the interior nodes
+    # s_1 < ... < s_{n-1}; the brackets between 0, the midpoints of
+    # neighbouring nodes and 1 hold one root of S' each, and a sign change
+    # of S' across every one of them leaves room for no other root, so
+    # refining them in their brackets finds all the critical points of the
+    # emitted p.  A p whose S' breaks that pattern is not the extremal
+    # polynomial, and its margin is inf.  The nodes themselves are evaluated
+    # too.  Like the coefficients, the margin depends on neither a, z, the
+    # design nor a grid.
+    p = _extremal_coefficients(n)
+    inner = _unit_nodes(n)[0][:-1]
+    edges = (0.0, *((x + y) / 2 for x, y in zip(inner, inner[1:])), 1.0)
+    critical = basis.local_extrema(p, edges, inner)
+    if critical is None:
+        return math.inf
+    return max(map(abs, basis.series(p, (0.0, 1.0, *inner, *critical)))) - 1.0
 
 
 @lru_cache(maxsize=256)
@@ -206,23 +205,28 @@ def certify(problem: DesignProblem, z: float, design: Design,
 
     h is (-1)^(n+j) * sum_i |L_i'(z)| for the interval index j containing z
     (recomputed here, never trusted from the caller); the reported pair is
-    normalized to h > 0 by flipping the polynomial's sign.  Condition (1) is
-    checked on a uniform grid of ``grid_points >= 2`` points over [0, a]
-    augmented with the critical points of the extremal polynomial (the
-    support points inside (0, a)), which pins the sup-norm.  Conditions (1)
-    and (2) evaluate the emitted coefficients p on the unit basis of
+    normalized to h > 0 by flipping the polynomial's sign.  Condition (1)
+    takes the sup of the polynomial's magnitude over [0, a] where it is
+    reached: at 0, at a and at the n - 1 critical points, which
+    :func:`slopedesign.basis.local_extrema` refines inside brackets around
+    the interior support points; the support points themselves are
+    evaluated too.  No grid enters it: ``grid_points`` is still checked
+    (>= 2), but nothing here reads it; only the oracle's LP takes a grid.
+    When the derivative does not change sign across every bracket, the
+    polynomial is not the extremal one, and the margin is inf.  Conditions
+    (1) and (2) evaluate the emitted coefficients p on the unit basis of
     :mod:`slopedesign.basis`.  Neither p nor the condition-1 margin depends
-    on a, z or the design, so p is computed once per n and the margin once
-    per (n, grid_points), and both are cached.  The model vectors of the
-    design points, the values of p there up to its sign, and with them the
-    condition-(2) residuals depend only on (n, a, design.points), so they
-    are computed once per support and cached too; each call applies the
-    sign, the weights and the slope at z.  Condition (3) is checked in the
-    same basis, with v_i = +/-1 the sign of the polynomial at x_i: each row
-    |g_k'(u_z) - a h sum_i w_i v_i g_k(u_i)| is divided by the size of its
-    terms, |g_k'(u_z)| + a h sum_i |w_i g_k(u_i)|, so its margin has no
-    units.  Every margin is compared with ``tol``.  z is located in the
-    region as in :func:`~slopedesign.designs.optimal_design`.
+    on a, z or the design, so both are computed once per n and cached.  The
+    model vectors of the design points, the values of p there up to its
+    sign, and with them the condition-(2) residuals depend only on
+    (n, a, design.points), so they are computed once per support and cached
+    too; each call applies the sign, the weights and the slope at z.
+    Condition (3) is checked in the same basis, with v_i = +/-1 the sign of
+    the polynomial at x_i: each row |g_k'(u_z) - a h sum_i w_i v_i g_k(u_i)|
+    is divided by the size of its terms, |g_k'(u_z)| + a h sum_i
+    |w_i g_k(u_i)|, so its margin has no units.  Every margin is compared
+    with ``tol``.  z is located in the region as in
+    :func:`~slopedesign.designs.optimal_design`.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
@@ -238,7 +242,7 @@ def certify(problem: DesignProblem, z: float, design: Design,
     h = abs(h_signed)
 
     p = tuple(sign * pk for pk in _extremal_coefficients(n))
-    cond1 = _condition1_margin(n, grid_points)
+    cond1 = _condition1_margin(n)
 
     # Conditions 2 and 3 in the unit basis: p . g(u_i) must be +/-1 at each
     # design point, and with v_i its sign, row by row

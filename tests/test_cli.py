@@ -624,3 +624,30 @@ class TestOverflowingTargets:
     def test_weights_that_overflow(self, capsys, command, n, a, z):
         code, out, err = run(capsys, command, "--n", n, "--a", a, "--z", z)
         self._assert_rejected(code, out, err, z)
+
+    # At the edge of the domain a basis derivative, their sum or the scale
+    # D_i * a of basis_derivatives leaves the float range: the closed-form
+    # weights or h are not finite, and no program fault is reported.
+    @pytest.mark.parametrize("command,n,a,z", [
+        ("design", "9", "1e-320", "0"),
+        ("design", "5", "1", "2e76"),
+        ("oracle", "5", "1", "2e76"),
+        ("design", "9", "2.3e-308", "2.3e-308"),
+        ("design", "30", "2.3e-308", "2.3e-308"),
+        ("oracle", "30", "2.3e-308", "2.3e-308")])
+    def test_edge_of_the_domain(self, capsys, command, n, a, z):
+        code, out, err = run(capsys, command, "--n", n, "--a", a, "--z", z)
+        self._assert_rejected(code, out, err, z)
+
+    @pytest.mark.parametrize("n,a,z", [("5", "1", "2e76"),
+                                       ("30", "2.3e-308", "2.3e-308")])
+    def test_check_at_the_edge_of_the_domain(self, capsys, tmp_path, n, a, z):
+        # A design of n points inside [0, a]; certify's h overflows.
+        f = tmp_path / "d.json"
+        points = [float(a) * (k + 1) / int(n) for k in range(int(n))]
+        f.write_text(json.dumps({"points": points,
+                                 "weights": [1 / int(n)] * int(n)}),
+                     encoding="utf-8")
+        code, out, err = run(capsys, "check", "--n", n, "--a", a, "--z", z,
+                             "--design", str(f))
+        self._assert_rejected(code, out, err, z)

@@ -333,27 +333,33 @@ class TestCertifyCache:
         assert info.hits == len(self.TARGETS) - 1
         assert _extremal_coefficients.cache_info().misses == 1
 
-    def test_keyed_by_degree_and_grid(self):
+    def test_keyed_by_degree_alone(self):
+        # The margin is taken from the critical points of S, not from a
+        # grid, so one entry per n serves every grid_points.
         _clear_certify_caches()
         z = 0.95
         d = optimal_design(self.PROBLEM, z)
         base = certify(self.PROBLEM, z, d)
         coarse = certify(self.PROBLEM, z, d, grid_points=11)
-        assert _condition1_margin.cache_info().misses == 2
-        assert _condition1_margin.cache_info().currsize == 2
-        assert base.p == coarse.p
-        certify(self.PROBLEM, z, d, grid_points=11)
-        assert _condition1_margin.cache_info().misses == 2
-        # The same n on another interval shares both entries: the problem is
+        assert _condition1_margin.cache_info().misses == 1
+        assert _condition1_margin.cache_info().hits == 1
+        assert _condition1_margin.cache_info().currsize == 1
+        assert coarse == base
+        # The same n on another interval shares the entry: the problem is
         # scale-equivariant, and p holds coefficients on g_k(x / a).
         scaled = DesignProblem(4, 1e6)
         cert = certify(scaled, 1e6 * z, optimal_design(scaled, 1e6 * z))
-        assert _condition1_margin.cache_info().misses == 2
+        assert _condition1_margin.cache_info().misses == 1
         assert _condition1_margin.cache_info().hits == 2
         assert _extremal_coefficients.cache_info().misses == 1
         assert cert.verifies
         assert cert.p == base.p
         assert cert.condition1_margin == base.condition1_margin
+        # Another degree is another entry.
+        other = DesignProblem(5, 1.0)
+        certify(other, 1.0, optimal_design(other, 1.0))
+        assert _condition1_margin.cache_info().misses == 2
+        assert _condition1_margin.cache_info().currsize == 2
 
     def test_support_rows_keyed_by_design_points(self):
         # Two supports of one problem, then the first again: every call gives
@@ -485,7 +491,7 @@ class TestEmittedPolynomialMutations:
             assert max(cert.condition2_residuals) <= 1e-11, (n, a)
 
     def test_condition1_margin_is_not_a_constant(self):
-        margins = {_condition1_margin(n, 2001) for n in range(1, 31)}
+        margins = {_condition1_margin(n) for n in range(1, 31)}
         assert len(margins) > 1
         assert all(abs(m) <= 1e-11 for m in margins)
 
@@ -502,3 +508,100 @@ class TestEmittedPolynomialMutations:
                 for a, design in designs.items():
                     cert = certify(DesignProblem(n, a), a, design)
                     assert cert.verdict == "failed", (n, a, k, step)
+
+
+def _mp_sup(p):
+    """max |S| over [0, 1] for the float coefficients p, in 40 digits: at 0,
+    at 1 and at the n - 1 roots of S', each found by mpmath's bracketing
+    solver between the midpoints of the unit nodes."""
+    n = len(p)
+    with mpmath.workdps(40):
+        y = [mpmath.mpf(pk) for pk in p]
+
+        def value_and_slope(u):
+            # S = u Q(2u - 1) and S' = Q + 2u Q', by the forward recurrences
+            # of T_m and T_m' in 40 digits.
+            t = 2 * u - 1
+            q, dq = y[0], mpmath.mpf(0)
+            t_prev, t_cur, d_prev, d_cur = mpmath.mpf(1), t, 0, mpmath.mpf(1)
+            for yk in y[1:]:
+                q += yk * t_cur
+                dq += yk * d_cur
+                t_prev, t_cur, d_prev, d_cur = (
+                    t_cur, 2 * t * t_cur - t_prev,
+                    d_cur, 2 * t_cur + 2 * t * d_cur - d_prev)
+            return u * q, q + 2 * u * dq
+
+        s = [mpmath.mpf(x) for x in R.problem(n, 1.0).points]
+        edges = [mpmath.mpf(0)] + [(x + w) / 2 for x, w in
+                                   zip(s[:-2], s[1:-1])] + [mpmath.mpf(1)]
+        brackets = list(zip(edges, edges[1:]))[:n - 1]
+        roots = [mpmath.findroot(lambda u: value_and_slope(u)[1], bracket,
+                                 solver="anderson") for bracket in brackets]
+        assert all(lo < r < hi for (lo, hi), r in zip(brackets, roots))
+        return max(abs(value_and_slope(u)[0])
+                   for u in [mpmath.mpf(0), mpmath.mpf(1), *roots])
+
+
+class TestGridFreeCondition1:
+    """Condition 1 takes the sup of |S| from the critical points of S,
+    refined inside brackets between the unit nodes, and from the ends of
+    [0, 1]: no grid reaches it."""
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_margin_matches_mpmath_sup(self, n):
+        sup = _mp_sup(_extremal_coefficients(n))
+        assert abs(_condition1_margin(n) - float(sup - 1)) <= 2e-14, n
+
+    def test_bump_between_grid_points_fails(self, monkeypatch):
+        # S(u) = (1 + E)(2u / r - u^2 / r^2) peaks at 1 + E at u = r, the
+        # middle of two points of the 2001-point grid, 5.4e-4 right of the
+        # node sqrt(2) - 1 of n = 2.  Both grid points and the node lie at
+        # least 3.6e-7 below the peak, so a sweep over them stays within
+        # the tolerance, and |S(1)| < 1.
+        E = 1e-8
+        r = 829.5 / 2000
+        big = (1.0 + E) / r
+        p = (2.0 * big - 0.5 * big / r, -0.5 * big / r)
+        monkeypatch.setattr(elfving, "_extremal_coefficients", lambda n: p)
+        _condition1_margin.cache_clear()
+        try:
+            us = [k / 2000 for k in range(2001)] + [math.sqrt(2.0) - 1.0]
+            swept = max(map(abs, basis.series(p, us))) - 1.0
+            assert swept <= 1e-10
+            assert _condition1_margin(2) == pytest.approx(E, rel=1e-6)
+            problem = DesignProblem(2, 1.0)
+            cert = certify(problem, 1.0, optimal_design(problem, 1.0))
+            assert cert.condition1_margin > 1e-10
+            assert cert.verdict == "failed"
+        finally:
+            _condition1_margin.cache_clear()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
+    def test_margin_does_not_depend_on_the_grid(self, n):
+        problem = DesignProblem(n, 1.0)
+        design = optimal_design(problem, 1.0)
+        certs = []
+        for m in (2, 11, 2001):
+            _clear_certify_caches()
+            certs.append(certify(problem, 1.0, design, grid_points=m))
+        assert certs[0] == certs[1] == certs[2]
+        assert certs[0].verifies
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_broken_bracket_pattern_fails(self, n, monkeypatch):
+        # S(u) = u has |S| <= 1 on [0, 1], but S' = 1 changes sign across
+        # no bracket: it is not the extremal polynomial, and the check has
+        # no critical point to take the sup from.
+        p = (1.0,) + (0.0,) * (n - 1)
+        monkeypatch.setattr(elfving, "_extremal_coefficients", lambda n: p)
+        _condition1_margin.cache_clear()
+        _support_rows.cache_clear()
+        try:
+            problem = DesignProblem(n, 1.0)
+            cert = certify(problem, 1.0, optimal_design(problem, 1.0))
+            assert cert.condition1_margin == math.inf
+            assert cert.verdict == "failed"
+        finally:
+            _condition1_margin.cache_clear()
+            _support_rows.cache_clear()

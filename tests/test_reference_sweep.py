@@ -91,8 +91,8 @@ def test_oracle_agrees_in_every_interval(n):
 
 @pytest.mark.parametrize("n", range(1, 31))
 def test_emitted_polynomial_matches_reference(n):
-    # The certificate's polynomial sum_k p_k g_k(x / a) on the 2001-point
-    # grid of condition 1, to 1e-11 absolute.
+    # The certificate's polynomial sum_k p_k g_k(x / a) on a 2001-point grid,
+    # to 1e-11 absolute.
     ref = R.problem(n, 1.0)
     us = [k / 2000 for k in range(2001)]
     want = [ref.extremal(R.mp.mpf(u)) for u in us]
