@@ -7,8 +7,7 @@ which would load :mod:`inspect`, :mod:`ast` and :mod:`dis` on import and
 generate code for every class.
 
 A subclass lists its fields in ``__slots__``, in constructor order; a slot
-whose name starts with ``_`` (such as ``__dict__``, which
-:func:`functools.cached_property` needs) is not a field.  The inherited
+whose name starts with ``_`` is not a field.  The inherited
 ``__init__`` takes the field values positionally; a subclass that converts
 or checks its arguments does so in its own ``__init__`` and passes the
 results on to it.

@@ -124,6 +124,10 @@ def _emit(command: str, inputs: dict, result, warnings: list[str]) -> None:
 def _problem(args) -> DesignProblem:
     try:
         problem = DesignProblem(args.n, args.a)
+        # Every command but plotdata --what extremal reads the region, which
+        # a subnormal a can collapse.
+        if getattr(args, "what", None) != "extremal":
+            admissible_region(problem)
     except ValueError as exc:
         raise _UsageExit(exc) from exc
     tol = getattr(args, "tol_cert", None)

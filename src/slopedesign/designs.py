@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
+from . import basis
 from ._record import Record
 from .polynomial import Degenerate
 
@@ -64,7 +65,7 @@ class DesignProblem(Record):
 def _check_points(pts: tuple[float, ...]) -> None:
     if not all(map(math.isfinite, pts)):
         raise ValueError("points must be finite")
-    if any(b <= a for a, b in zip(pts, pts[1:])):
+    if not all(map(operator.lt, pts, pts[1:])):
         raise ValueError("points must be strictly increasing")
 
 
@@ -121,20 +122,20 @@ class AdmissibleRegion(Record):
     design interval, which sets the width of the boundary band.
 
     ``boundary_roots[i-1]`` holds the ascending roots of the i-th basis
-    derivative of the degree n = len(intervals).  The intervals use only
-    those of the first and the last; the other n - 2 sets are solved on the
-    first read of this attribute.
+    derivative of the degree n = len(intervals), scaled by ``a`` at each
+    read.  The intervals use only those of the first and the last; the
+    other n - 2 sets are solved on [0, 1] on the first read for the degree.
     """
 
-    __slots__ = ("a", "intervals", "__dict__")  # __dict__ holds the roots
+    __slots__ = ("a", "intervals")
     a: float
     intervals: tuple[tuple[float, float], ...]
 
-    @cached_property
+    @property
     def boundary_roots(self) -> tuple[tuple[float, ...], ...]:
-        n, a = len(self.intervals), self.a
-        return tuple(tuple(a * r for r in _unit_roots(n, i))
-                     for i in range(n))
+        a = self.a
+        return tuple(tuple(a * r for r in roots)
+                     for roots in _unit_state(len(self.intervals)).roots)
 
     def locate(self, z: float):
         """Classify z: ("inside", j) with 1-based j, ("boundary", endpoint),
@@ -158,17 +159,119 @@ class AdmissibleRegion(Record):
         return self.locate(z)[0] == "inside"
 
 
-@lru_cache(maxsize=256)
-def _unit_nodes(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # The support points of the problem on [0, 1] and the denominators
-    # D_i = s_i * prod_{j != i} (s_i - s_j) of the basis L_i = g_i / D_i.
-    c = math.cos(math.pi / (2 * n))
-    den = 1.0 + c
-    s = tuple((math.cos((n - k) * math.pi / n) + c) / den
-              for k in range(1, n + 1))
-    denoms = tuple(si * math.prod(si - sj for j, sj in enumerate(s) if j != i)
-                   for i, si in enumerate(s))
-    return s, denoms
+class _UnitState:
+    """The problem of degree n on [0, 1], which every [0, a] scales: the
+    support is a * s, the region endpoints are a * r, and the extremal
+    polynomial is S(x / a).  Each field is built on its first read, by the
+    method ``_build_<field>``, and kept; no caller pays for one it skips.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __getattr__(self, name: str):
+        # Only a field not built yet comes here; another name raises.
+        value = getattr(type(self), "_build_" + name)(self)
+        setattr(self, name, value)
+        return value
+
+    def _build_s(self):
+        n = self.n
+        c = math.cos(math.pi / (2 * n))
+        return tuple((math.cos((n - k) * math.pi / n) + c) / (1.0 + c)
+                     for k in range(1, n + 1))
+
+    def _build_denoms(self):
+        # D_i = s_i prod_{j != i} (s_i - s_j) of the basis L_i = g_i / D_i.
+        s = self.s
+        return tuple(si * math.prod(si - sj for sj in s[:i] + s[i + 1:])
+                     for i, si in enumerate(s))
+
+    def _roots_of(self, i: int) -> tuple[float, ...]:
+        # The n - 1 ascending roots of L_i' (0-based i).  L_i has the simple
+        # zeros 0 and s_j (j != i); by Rolle, each gap between consecutive
+        # zeros holds exactly one root of L_i'.
+        zeros = (0.0,) + self.s[:i] + self.s[i + 1:]
+        return tuple(_rolle_root(zeros, k) for k in range(self.n - 1))
+
+    def _build_ends(self):
+        # Interval j runs from the (j-1)-th root of L_1' to the j-th root of
+        # L_n', so the endpoints, -inf and inf at the ends, alternate between
+        # the two sets.
+        first, last = self._roots_of(0), self._roots_of(self.n - 1)
+        ends = [-math.inf, *(x for pair in zip(last, first) for x in pair),
+                math.inf]
+        if not all(map(operator.lt, ends, ends[1:])):
+            raise Degenerate(f"degree {self.n}: region intervals overlap")
+        return tuple(ends)
+
+    def _build_roots(self):
+        n, ends = self.n, self.ends[1:-1]
+        return tuple(ends[1::2] if i == 0 else ends[0::2] if i == n - 1
+                     else self._roots_of(i) for i in range(n))
+
+    def _build_p(self):
+        # The coefficients p_1..p_n of the extremal polynomial on the unit
+        # basis, S(u) = T_n((1 + c) u - c) = sum_k p_k g_k(u) with
+        # c = cos(pi / 2n).  S(0) = 0, so S(u) / u = sum_k p_k T_{k-1}(2u - 1)
+        # has degree n - 1, and its Chebyshev coefficients follow from its
+        # values at the n Chebyshev points 2u - 1 = cos(theta_j) by discrete
+        # orthogonality (Trefethen, Approximation Theory and Approximation
+        # Practice, 2013, ch. 3-4).  With (1 + c) u - c = cos(phi) and
+        # -c = cos(psi), S(u) / u = (1 + c) (cos n phi - cos n psi) /
+        # (cos phi - cos psi) is a product of two ratios sin(n x) / sin(x),
+        # which divides nothing by u and makes p exactly (1,) at n = 1.
+        n = self.n
+        c = math.cos(math.pi / (2 * n))
+        psi = math.pi - math.pi / (2 * n)
+        thetas = [math.pi * (j + 0.5) / n for j in range(n)]
+        q = []
+        for theta in thetas:
+            phi = math.acos((1.0 + c) * math.cos(0.5 * theta) ** 2 - c)
+            s, d = 0.5 * (psi + phi), 0.5 * (psi - phi)
+            q.append((1.0 + c) * (math.sin(n * s) / math.sin(s))
+                     * (math.sin(n * d) / math.sin(d)))
+        p = [2.0 / n * math.fsum(qj * math.cos(k * theta)
+                                 for qj, theta in zip(q, thetas))
+             for k in range(n)]
+        p[0] *= 0.5
+        return tuple(p)
+
+    def _build_cond1(self):
+        # max |S| - 1 over [0, 1], taken at 0, at 1, at the interior nodes
+        # and at the critical points of S.  For the exact p those are the
+        # nodes; a sign change of S' across each bracket between 0, the
+        # midpoints of neighbouring nodes and 1 leaves room for one root
+        # each, so refining them finds all the critical points of p.  A p
+        # whose S' breaks that pattern is not extremal: its margin is inf.
+        p = self.p
+        inner = self.s[:-1]
+        edges = (0.0, *((x + y) / 2 for x, y in zip(inner, inner[1:])), 1.0)
+        critical = basis.local_extrema(p, edges, inner)
+        if critical is None:
+            return math.inf
+        return max(map(abs, basis.series(p, (0.0, 1.0, *inner,
+                                             *critical)))) - 1.0
+
+    def _build_support_rows(self):
+        return _rows_at(self.n, self.p, self.s)
+
+    def _build_matrix(self):
+        import numpy as np
+        rows = np.array(basis.values(self.n, np.array(self.s)))
+        rows.flags.writeable = False  # shared by every call
+        return rows
+
+
+_unit_state = lru_cache(maxsize=256)(_UnitState)
+
+
+def _rows_at(n: int, p, us) -> tuple[tuple, tuple, tuple]:
+    # Certify's rows at the points x = a u: the model vectors g(u), p . g(u)
+    # before the sign of p is fixed, and the residuals ||p . g| - 1|.
+    rows = tuple(basis.values(n, u) for u in us)
+    dots = tuple(math.fsum(map(operator.mul, p, g)) for g in rows)
+    return rows, dots, tuple(abs(abs(v) - 1.0) for v in dots)
 
 
 def support_points(problem: DesignProblem) -> tuple[float, ...]:
@@ -177,18 +280,7 @@ def support_points(problem: DesignProblem) -> tuple[float, ...]:
     The k-th ascending point is a * (cos((n-k) pi / n) + cos(pi/2n)) /
     (1 + cos(pi/2n)); the largest is exactly a.
     """
-    return tuple(problem.a * x for x in _unit_nodes(problem.n)[0])
-
-
-@lru_cache(maxsize=8)
-def _design_support(n: int, a: float) -> tuple[float, ...]:
-    # support_points, checked as Design checks its points, once per problem
-    # for optimal_design.  A check that fails raises again at every call,
-    # since lru_cache keeps no exception.  Eight entries: a caller seldom
-    # comes back to a problem it has left, so more would hold stale ones.
-    pts = tuple(a * x for x in _unit_nodes(n)[0])
-    _check_points(pts)
-    return pts
+    return tuple([problem.a * x for x in _unit_state(problem.n).s])
 
 
 def basis_derivatives(problem: DesignProblem, z: float) -> tuple[float, ...]:
@@ -200,7 +292,8 @@ def basis_derivatives(problem: DesignProblem, z: float) -> tuple[float, ...]:
     case.  The problem is scale-equivariant, L_i(z) = L_i^unit(z / a), so the
     products run over the nodes on [0, 1] and the result is scaled by 1 / a.
     """
-    s, denoms = _unit_nodes(problem.n)
+    state = _unit_state(problem.n)
+    s, denoms = state.s, state.denoms
     a = problem.a
     u = float(z) / a
     d = [u - x for x in s]
@@ -271,40 +364,22 @@ def _rolle_root(zeros: tuple[float, ...], k: int) -> float:
                      f"{_MAX_STEPS} steps")
 
 
-@lru_cache(maxsize=256)
-def _unit_roots(n: int, i: int) -> tuple[float, ...]:
-    # The n - 1 ascending roots of L_i' (0-based i) on [0, 1].  L_i has the
-    # simple zeros 0 and s_j (j != i); by Rolle, each gap between consecutive
-    # zeros holds exactly one root of L_i'.
-    s, _ = _unit_nodes(n)
-    zeros = (0.0,) + s[:i] + s[i + 1:]
-    return tuple(_rolle_root(zeros, k) for k in range(n - 1))
-
-
-@lru_cache(maxsize=256)
 def admissible_region(problem: DesignProblem) -> AdmissibleRegion:
     """The n open z-intervals on which the closed-form design is optimal.
 
     Interval j runs from the (j-1)-th root of the first basis derivative to
     the j-th root of the last one (conventionally -inf and +inf at the ends),
-    so only those two root sets are solved here; the region's
-    ``boundary_roots`` solves the other n - 2 when it is first read.  Each
-    root is solved on [0, 1], once per n, down to the rounding level of
-    double precision, a few 1e-16 * a.
+    so only those two root sets are solved here.  Each root is solved on
+    [0, 1], once per n, to the rounding level of double precision, and
+    scaled by a at each call; a subnormal a that merges two scaled endpoints
+    raises :class:`ValueError`.
     """
-    n, a = problem.n, problem.a
-    first, last = _unit_roots(n, 0), _unit_roots(n, n - 1)
-    intervals = []
-    for j in range(1, n + 1):
-        lo = -math.inf if j == 1 else a * first[j - 2]
-        hi = math.inf if j == n else a * last[j - 1]
-        if not lo < hi:
-            raise Degenerate(f"interval {j} is empty: [{lo!r}, {hi!r}]")
-        intervals.append((lo, hi))
-    for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
-        if not hi < lo:
-            raise Degenerate("region intervals are not disjoint")
-    return AdmissibleRegion(a, tuple(intervals))
+    a = problem.a
+    ends = [a * x for x in _unit_state(problem.n).ends]
+    if not all(map(operator.lt, ends, ends[1:])):
+        raise ValueError(f"a={a!r} is too small for n={problem.n}: the "
+                         "admissible intervals collapse when scaled by it")
+    return AdmissibleRegion(a, tuple(zip(ends[::2], ends[1::2])))
 
 
 def optimal_design(problem: DesignProblem, z: float) -> Design:
@@ -316,12 +391,10 @@ def optimal_design(problem: DesignProblem, z: float) -> Design:
     band is that of :meth:`AdmissibleRegion.locate`.  The weights are
     checked as :class:`Design` checks them at every call; a target of such
     magnitude, or an interval so short, that they are not finite raises
-    :class:`ValueError`.  The support points depend only on (n, a), so they
-    are converted and checked once per problem and kept in a small cache;
-    the design is the same whether they come from it or not.
+    :class:`ValueError`.
     """
-    if problem.n == 1:
-        return Design._on_checked_points(_design_support(1, problem.a), (1.0,))
+    if problem.n == 1:  # one finite point, nothing to check
+        return Design._on_checked_points(support_points(problem), (1.0,))
     region = admissible_region(problem)
     kind, info = region.locate(z)
     if kind == "boundary":
@@ -334,5 +407,6 @@ def optimal_design(problem: DesignProblem, z: float) -> Design:
         # A basis derivative or their sum overflows, or a scale D_i * a of
         # basis_derivatives underflows to 0: the weights are not finite.
         raise ValueError("weights must be finite") from exc
-    return Design._on_checked_points(_design_support(problem.n, problem.a),
-                                     weights)
+    support = support_points(problem)
+    _check_points(support)  # a subnormal a can merge two scaled points
+    return Design._on_checked_points(support, weights)

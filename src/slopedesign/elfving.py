@@ -16,11 +16,11 @@ from functools import lru_cache
 
 from . import basis
 from ._record import Record
-from .designs import (Design, DesignProblem, _unit_nodes, admissible_region,
-                      basis_derivatives)
+from .designs import (Design, DesignProblem, _rows_at, _unit_state,
+                      admissible_region, basis_derivatives, support_points)
 
-# numpy is imported inside variance only, so that the certificate and the
-# closed form run without it.
+# numpy is imported inside the functions that build arrays only, so that the
+# certificate and the closed form run without it.
 
 
 class ZOutsideRegion(Exception):
@@ -84,17 +84,15 @@ def _unit_slope(problem: DesignProblem, z: float) -> tuple[tuple, float]:
     return tuple(ck / scale for ck in c), scale / problem.a
 
 
-@lru_cache(maxsize=8)
-def _unit_rows(n: int, a: float, points: tuple[float, ...]):
-    # The read-only n x m array with columns g(x_i / a), once per set of
-    # points: variance scales its columns, the oracle's restricted_weights
-    # solves with it.  An entry that overflows is inf or nan, with no
-    # warning.  Eight entries, as for designs._design_support.
+def _unit_rows(problem: DesignProblem, points: tuple[float, ...]):
+    # The n x m array with columns g(x_i / a): the unit state's for the
+    # closed-form support, else built for these points.  An entry that
+    # overflows is inf or nan, with no warning.
+    if points == support_points(problem):
+        return _unit_state(problem.n).matrix
     import numpy as np
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.array(basis.values(n, np.asarray(points, dtype=float) / a))
-    rows.flags.writeable = False
-    return rows
+    return np.array([basis.values(problem.n, x / problem.a)
+                     for x in points]).T
 
 
 def variance(problem: DesignProblem, design: Design, z: float) -> float:
@@ -106,14 +104,12 @@ def variance(problem: DesignProblem, design: Design, z: float) -> float:
     is not estimable when the relative least-squares residual exceeds 1e-8.
     Raises :class:`OverflowError` when the system is not finite, such as
     when a design point lies far outside [0, a].  The model vectors of the
-    design points depend on neither z nor the weights, so they are computed
-    once per (n, a, design.points) and kept in a small cache; each call
-    scales them by the square roots of the weights, the same floats as
-    without the cache.
+    closed-form support are the unit state's; those of any other design are
+    built at each call.
     """
     import numpy as np
     c, factor = _unit_slope(problem, z)
-    rows = _unit_rows(problem.n, problem.a, design.points)
+    rows = _unit_rows(problem, design.points)
     with np.errstate(over="ignore", invalid="ignore"):
         bt = rows * np.sqrt(design.weights)
     if not np.isfinite(bt).all():
@@ -125,77 +121,13 @@ def variance(problem: DesignProblem, design: Design, z: float) -> float:
     return root * root
 
 
-@lru_cache(maxsize=256)
-def _extremal_coefficients(n: int) -> tuple[float, ...]:
-    # The coefficients p_1..p_n of the extremal polynomial on the unit basis,
-    # S(u) = T_n((1 + c) u - c) = sum_k p_k g_k(u) with c = cos(pi / 2n); the
-    # problem is scale-equivariant, so they depend on n only.  S(0) = 0, so
-    # S(u) / u = sum_k p_k T_{k-1}(2u - 1) has degree n - 1, and its
-    # Chebyshev coefficients follow from its values at the n Chebyshev points
-    # 2u - 1 = cos(theta_j) by discrete orthogonality (Trefethen,
-    # Approximation Theory and Approximation Practice, 2013, ch. 3-4).  With
-    # (1 + c) u - c = cos(phi) and -c = cos(psi), S(u) / u = (1 + c)
-    # (cos n phi - cos n psi) / (cos phi - cos psi) is a product of two
-    # ratios sin(n x) / sin(x), which divides nothing by u and makes p
-    # exactly (1,) at n = 1.
-    c = math.cos(math.pi / (2 * n))
-    psi = math.pi - math.pi / (2 * n)
-    thetas = [math.pi * (j + 0.5) / n for j in range(n)]
-    q = []
-    for theta in thetas:
-        phi = math.acos((1.0 + c) * math.cos(0.5 * theta) ** 2 - c)
-        s, d = 0.5 * (psi + phi), 0.5 * (psi - phi)
-        q.append((1.0 + c) * (math.sin(n * s) / math.sin(s))
-                 * (math.sin(n * d) / math.sin(d)))
-    p = [2.0 / n * math.fsum(qj * math.cos(k * theta)
-                             for qj, theta in zip(q, thetas))
-         for k in range(n)]
-    p[0] *= 0.5
-    return tuple(p)
-
-
 def extremal_value(problem: DesignProblem, x: float) -> float:
     """The extremal polynomial at x: sum_k p_k g_k(x / a) for the
     coefficients that certify emits, evaluated by Clenshaw's recurrence.
 
     Its sign is the one that is +1 at a.
     """
-    return basis.series(_extremal_coefficients(problem.n),
-                        (float(x) / problem.a,))[0]
-
-
-@lru_cache(maxsize=256)
-def _condition1_margin(n: int) -> float:
-    # max |S| - 1 over [0, 1], where the sup is reached: at 0, at 1 or at a
-    # critical point of S.  For the exact p those are the interior nodes
-    # s_1 < ... < s_{n-1}; the brackets between 0, the midpoints of
-    # neighbouring nodes and 1 hold one root of S' each, and a sign change
-    # of S' across every one of them leaves room for no other root, so
-    # refining them in their brackets finds all the critical points of the
-    # emitted p.  A p whose S' breaks that pattern is not the extremal
-    # polynomial, and its margin is inf.  The nodes themselves are evaluated
-    # too.  Like the coefficients, the margin depends on neither a, z, the
-    # design nor a grid.
-    p = _extremal_coefficients(n)
-    inner = _unit_nodes(n)[0][:-1]
-    edges = (0.0, *((x + y) / 2 for x, y in zip(inner, inner[1:])), 1.0)
-    critical = basis.local_extrema(p, edges, inner)
-    if critical is None:
-        return math.inf
-    return max(map(abs, basis.series(p, (0.0, 1.0, *inner, *critical)))) - 1.0
-
-
-@lru_cache(maxsize=256)
-def _support_rows(n: int, a: float, points: tuple[float, ...]):
-    # The part of conditions 2 and 3 that depends on the design points only:
-    # the model vector g(x_i / a) of each point, p . g(x_i / a) for the
-    # coefficients p of _extremal_coefficients before certify fixes their
-    # sign, and the condition-2 residuals ||p . g| - 1|, which no sign
-    # changes.
-    p = _extremal_coefficients(n)
-    rows = tuple(basis.values(n, x / a) for x in points)
-    dots = tuple(math.fsum(pk * gk for pk, gk in zip(p, g)) for g in rows)
-    return rows, dots, tuple(abs(abs(v) - 1.0) for v in dots)
+    return basis.series(_unit_state(problem.n).p, (float(x) / problem.a,))[0]
 
 
 def certify(problem: DesignProblem, z: float, design: Design,
@@ -215,12 +147,10 @@ def certify(problem: DesignProblem, z: float, design: Design,
     When the derivative does not change sign across every bracket, the
     polynomial is not the extremal one, and the margin is inf.  Conditions
     (1) and (2) evaluate the emitted coefficients p on the unit basis of
-    :mod:`slopedesign.basis`.  Neither p nor the condition-1 margin depends
-    on a, z or the design, so both are computed once per n and cached.  The
-    model vectors of the design points, the values of p there up to its
-    sign, and with them the condition-(2) residuals depend only on
-    (n, a, design.points), so they are computed once per support and cached
-    too; each call applies the sign, the weights and the slope at z.
+    :mod:`slopedesign.basis`.  p, the condition-1 margin and, for the
+    closed-form support, the model vectors g(s_i), the values of p there
+    and the condition-(2) residuals are read from the unit state of the
+    degree; for any other design those are computed at each call.
     Condition (3) is checked in the same basis, with v_i = +/-1 the sign of
     the polynomial at x_i: each row |g_k'(u_z) - a h sum_i w_i v_i g_k(u_i)|
     is divided by the size of its terms, |g_k'(u_z)| + a h sum_i
@@ -241,8 +171,9 @@ def certify(problem: DesignProblem, z: float, design: Design,
     sign = 1.0 if h_signed > 0 else -1.0
     h = abs(h_signed)
 
-    p = tuple(sign * pk for pk in _extremal_coefficients(n))
-    cond1 = _condition1_margin(n)
+    state = _unit_state(n)
+    p = tuple(sign * pk for pk in state.p)
+    cond1 = state.cond1
 
     # Conditions 2 and 3 in the unit basis: p . g(u_i) must be +/-1 at each
     # design point, and with v_i its sign, row by row
@@ -252,7 +183,9 @@ def certify(problem: DesignProblem, z: float, design: Design,
     a = problem.a
     ah = a * h
     c = basis.slope(n, z / a)
-    rows, dots, cond2 = _support_rows(n, a, design.points)
+    rows, dots, cond2 = (
+        state.support_rows if design.points == support_points(problem)
+        else _rows_at(n, state.p, [x / a for x in design.points]))
     rep, size = [0.0] * n, [0.0] * n
     for g, dot, w in zip(rows, dots, design.weights):
         # fsum rounds the exact sum symmetrically, so sign * dot is p . g(u_i)

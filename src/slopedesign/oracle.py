@@ -17,6 +17,7 @@ there.
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_left
 from functools import lru_cache
@@ -63,8 +64,11 @@ class GridSpec(Record):
 
     def points(self, problem: DesignProblem) -> np.ndarray:
         # a * k / (m-1) rather than linspace: grids with m and 2m-1 points
-        # are then bitwise nested, which the refinement tests rely on.
-        return problem.a * np.arange(self.m) / (self.m - 1)
+        # are then bitwise nested, which the refinement tests rely on.  An a
+        # above 1 is scaled below 1 first, exactly, so a * k cannot overflow.
+        e = max(math.frexp(problem.a)[1], 0)
+        return np.ldexp(math.ldexp(problem.a, -e) * np.arange(self.m)
+                        / (self.m - 1), e)
 
     @property
     def spacing_fraction(self) -> float:
@@ -333,9 +337,7 @@ class _GridLP:
         raise NumericalFailure("simplex iteration cap exceeded")
 
 
-@lru_cache(maxsize=1)
-def _grid_lp(problem: DesignProblem, grid: GridSpec) -> _GridLP:
-    return _GridLP(problem, grid)
+_grid_lp = lru_cache(maxsize=1)(_GridLP)  # (problem, grid) -> its LP
 
 
 def lp_c_optimal(problem: DesignProblem, z: float,
@@ -364,25 +366,6 @@ def lp_c_optimal(problem: DesignProblem, z: float,
     return float(x.sum()) * factor, Design(pts[sel], w)
 
 
-@lru_cache(maxsize=8)
-def _pinned_matrix(n: int, a: float, support: tuple[float, ...]) -> np.ndarray:
-    # The z-independent part of restricted_weights, once per support: its
-    # checks and G.  A check that fails raises again on every call, since
-    # lru_cache keeps no exception.  Eight entries, as for
-    # designs._design_support.
-    s = np.asarray(support, dtype=float)
-    if s.size != n:
-        raise ValueError("support size must match n")
-    if not np.isfinite(s).all():
-        raise SingularSupport("support points must be finite")
-    tol = 1e-12 * np.max(np.abs(s))
-    if np.any(np.abs(s) <= tol):
-        raise SingularSupport("a support point sits at 0, where f vanishes")
-    if n > 1 and np.min(np.diff(np.sort(s))) <= tol:
-        raise SingularSupport("support points coincide within 1e-12 * max|s|")
-    return _unit_rows(n, a, support)
-
-
 def restricted_weights(problem: DesignProblem, z: float,
                        support) -> tuple[float, tuple[float, ...]]:
     """Best weights (and variance) for the slope at z on a pinned support.
@@ -392,12 +375,21 @@ def restricted_weights(problem: DesignProblem, z: float,
     by w_i proportional to |beta_i|, with minimum (sum_i |beta_i|)^2.
     :class:`SingularSupport` reports a point at 0, two points within
     1e-12 * max|s| of each other, a point that is not finite or a singular
-    G.  The checks and G depend only on (n, a, support), so they are done
-    once per support and G is kept in a small cache; each call solves for
-    its own c, with the same floats as without the cache, and a support
-    that fails a check raises at every call.
+    G.  The checks run at every call; G is the unit state's for the
+    closed-form support and is built at each call for any other.
     """
-    big_g = _pinned_matrix(problem.n, problem.a, tuple(map(float, support)))
+    s = tuple(map(float, support))
+    if len(s) != problem.n:
+        raise ValueError("support size must match n")
+    if not all(map(math.isfinite, s)):
+        raise SingularSupport("support points must be finite")
+    tol = 1e-12 * max(map(abs, s))
+    if min(map(abs, s)) <= tol:
+        raise SingularSupport("a support point sits at 0, where f vanishes")
+    ordered = sorted(s)
+    if any(y - x <= tol for x, y in zip(ordered, ordered[1:])):
+        raise SingularSupport("support points coincide within 1e-12 * max|s|")
+    big_g = _unit_rows(problem, s)
     rhs, factor = _unit_slope(problem, z)
     try:
         beta = np.linalg.solve(big_g, rhs)
@@ -441,11 +433,8 @@ def compare(problem: DesignProblem, z: float,
     is matched to the nearest closed-form point (the first on a tie, found
     by bisection) when it lies within half a grid spacing of it.
 
-    The closed-form support of a problem does not depend on z, so
-    optimal_design, restricted_weights and variance check it and build its
-    matrix in the unit basis once per problem, in small caches, and do only
-    the work of z at each call.  The cached values are the floats each call
-    would compute, so no output depends on what the caches hold.
+    The closed-form routes read the matrix of their support from the unit
+    state of the degree and do only the work of z.
     """
     n, a = problem.n, problem.a
     try:

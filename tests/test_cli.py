@@ -10,6 +10,8 @@ import pytest
 from slopedesign.cli import main
 from slopedesign.designs import admissible_region
 
+from helpers import clear_caches
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import reference as R  # noqa: E402
 
@@ -310,8 +312,7 @@ class TestPlotdataCommand:
             return rolle_root(zeros, k)
 
         monkeypatch.setattr(designs, "_rolle_root", counted)
-        designs.admissible_region.cache_clear()
-        designs._unit_roots.cache_clear()
+        clear_caches()
         code, _, _ = run(capsys, "plotdata", "--n", str(n), "--a", "1",
                          "--what", "weightderivs", "--samples", "5")
         assert code == 0

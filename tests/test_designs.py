@@ -6,10 +6,12 @@ import pytest
 from slopedesign import designs
 from slopedesign.designs import (AdmissibleRegion, BoundaryPoint, Design,
                                  DesignProblem, NotCovered, _rolle_root,
-                                 _unit_nodes, _unit_roots, admissible_region,
+                                 _unit_state, admissible_region,
                                  basis_derivatives, optimal_design,
                                  support_points, weights_at)
 from slopedesign.elfving import certify
+
+from helpers import clear_caches
 
 SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
@@ -87,22 +89,26 @@ class TestTypes:
 
     def test_optimal_design_rejects_weights_that_overflow(self):
         # At z = 1e300 the basis derivatives overflow and the weights are
-        # nan; the support of the problem is cached and still valid.
+        # nan; the unit state of the degree is still valid.
         problem = DesignProblem(4, 1.0)
         for _ in range(2):
             with pytest.raises(ValueError, match="weights must be finite"):
                 optimal_design(problem, 1e300)
         assert optimal_design(problem, 1.0).points == support_points(problem)
 
-    def test_optimal_design_checks_the_support_once_per_problem(self):
-        designs._design_support.cache_clear()
-        for k, n in enumerate(range(1, 11), start=1):
-            problem = DesignProblem(n, 0.5 * n)
-            for _ in range(3):
-                d = optimal_design(problem, problem.a)
-                assert d == Design(support_points(problem), d.weights)
-            info = designs._design_support.cache_info()
-            assert (info.misses, info.currsize) == (k, min(k, 8))
+    def test_optimal_design_builds_the_state_once_per_degree(self):
+        # Every a and every target of a degree scale one unit state.
+        clear_caches()
+        for n in range(1, 11):
+            for a in (1e-8, 1.0, 1e8):
+                problem = DesignProblem(n, a)
+                zs = [a] + [0.5 * (lo + hi) for lo, hi
+                            in admissible_region(problem).intervals[1:-1]]
+                for z in zs:
+                    d = optimal_design(problem, z)
+                    assert d == Design(support_points(problem), d.weights)
+            info = _unit_state.cache_info()
+            assert (info.misses, info.currsize) == (n, n)
 
 
 class TestSupportPoints:
@@ -367,7 +373,7 @@ def _eager_region(n, a):
     # Every root set of the problem solved up front, and the intervals built
     # from the first and the last, as the region was built before its root
     # table became lazy.
-    s, _ = _unit_nodes(n)
+    s = _unit_state(n).s
     roots = [tuple(a * _rolle_root((0.0,) + s[:i] + s[i + 1:], k)
                    for k in range(n - 1)) for i in range(n)]
     intervals = tuple(
@@ -403,8 +409,7 @@ class TestLazyRootSets:
             return _rolle_root(zeros, k)
 
         monkeypatch.setattr(designs, "_rolle_root", counted)
-        admissible_region.cache_clear()
-        _unit_roots.cache_clear()
+        clear_caches()
 
         def solve(z):
             design = optimal_design(pr, z)
@@ -417,7 +422,7 @@ class TestLazyRootSets:
         assert len(calls) == 2 * (n - 1)
         roots = admissible_region(pr).boundary_roots
         assert len(calls) == n * (n - 1)
-        assert admissible_region(pr).boundary_roots is roots
+        assert admissible_region(pr).boundary_roots == roots
         assert len(calls) == n * (n - 1)
 
 

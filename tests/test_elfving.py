@@ -7,13 +7,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from slopedesign import basis, elfving
-from slopedesign.designs import (Design, DesignProblem, admissible_region,
-                                 optimal_design, support_points)
-from slopedesign.elfving import (ElfvingCertificate, ZOutsideRegion,
-                                 _condition1_margin, _extremal_coefficients,
-                                 _support_rows, certify, extremal_value,
-                                 variance)
+from slopedesign import basis, designs
+from slopedesign.designs import (Design, DesignProblem, _unit_state,
+                                 admissible_region, optimal_design,
+                                 support_points)
+from slopedesign.elfving import (ElfvingCertificate, ZOutsideRegion, certify,
+                                 extremal_value, variance)
+
+from helpers import clear_caches
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import reference as R  # noqa: E402
@@ -170,7 +171,7 @@ class TestExtremalPolynomial:
     """The emitted polynomial sum_k p_k g_k(x / a), through extremal_value."""
 
     def test_n1_identity_on_unit_interval(self):
-        assert _extremal_coefficients(1) == (1.0,)
+        assert _unit_state(1).p == (1.0,)
         pr = DesignProblem(1, 1.0)
         assert extremal_value(pr, 0.0) == pytest.approx(0.0, abs=1e-15)
         assert extremal_value(pr, 1.0) == pytest.approx(1.0, abs=1e-15)
@@ -291,10 +292,16 @@ class TestCertify:
                 certify(pr, 1.0, d, grid_points=m)
 
 
-def _clear_certify_caches():
-    _extremal_coefficients.cache_clear()
-    _condition1_margin.cache_clear()
-    _support_rows.cache_clear()
+@pytest.fixture
+def swap_p(monkeypatch):
+    """Replaces the extremal polynomial that the unit state builds; one
+    clear on the way in and one on the way out empty every field read from
+    it."""
+    def install(p):
+        monkeypatch.setattr(designs._UnitState, "_build_p", lambda state: p)
+        clear_caches()
+    yield install
+    clear_caches()
 
 
 def _margins(cert):
@@ -303,9 +310,10 @@ def _margins(cert):
 
 
 class TestCertifyCache:
-    """The z-independent part of certify is computed once: the coefficients
-    of the extremal polynomial per n, the condition-1 margin per
-    (n, grid_points), and the rows of conditions 2 and 3 per support."""
+    """The z-independent part of certify is read from the unit state of the
+    degree, built once per n: the coefficients of the extremal polynomial,
+    the condition-1 margin and the rows of conditions 2 and 3 at the
+    closed-form support."""
 
     PROBLEM = DesignProblem(4, 1.0)
     TARGETS = (-0.5, 0.03, 0.25, 0.3, 0.68, 0.95, 1.4)
@@ -314,7 +322,7 @@ class TestCertifyCache:
         certs = []
         for z in self.TARGETS:
             if clear_each:
-                _clear_certify_caches()
+                clear_caches()
             certs.append(certify(self.PROBLEM, z,
                                  optimal_design(self.PROBLEM, z)))
         return certs
@@ -326,44 +334,39 @@ class TestCertifyCache:
         assert all(c.verifies for c in warm)
 
     def test_one_miss_per_batch(self):
-        _clear_certify_caches()
+        clear_caches()
         self._batch(clear_each=False)
-        info = _condition1_margin.cache_info()
-        assert info.misses == 1
-        assert info.hits == len(self.TARGETS) - 1
-        assert _extremal_coefficients.cache_info().misses == 1
+        info = _unit_state.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     def test_keyed_by_degree_alone(self):
         # The margin is taken from the critical points of S, not from a
         # grid, so one entry per n serves every grid_points.
-        _clear_certify_caches()
+        clear_caches()
         z = 0.95
         d = optimal_design(self.PROBLEM, z)
         base = certify(self.PROBLEM, z, d)
         coarse = certify(self.PROBLEM, z, d, grid_points=11)
-        assert _condition1_margin.cache_info().misses == 1
-        assert _condition1_margin.cache_info().hits == 1
-        assert _condition1_margin.cache_info().currsize == 1
+        assert _unit_state.cache_info().misses == 1
         assert coarse == base
         # The same n on another interval shares the entry: the problem is
         # scale-equivariant, and p holds coefficients on g_k(x / a).
         scaled = DesignProblem(4, 1e6)
         cert = certify(scaled, 1e6 * z, optimal_design(scaled, 1e6 * z))
-        assert _condition1_margin.cache_info().misses == 1
-        assert _condition1_margin.cache_info().hits == 2
-        assert _extremal_coefficients.cache_info().misses == 1
+        assert _unit_state.cache_info().misses == 1
         assert cert.verifies
         assert cert.p == base.p
         assert cert.condition1_margin == base.condition1_margin
         # Another degree is another entry.
         other = DesignProblem(5, 1.0)
         certify(other, 1.0, optimal_design(other, 1.0))
-        assert _condition1_margin.cache_info().misses == 2
-        assert _condition1_margin.cache_info().currsize == 2
+        info = _unit_state.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
 
     def test_support_rows_keyed_by_design_points(self):
-        # Two supports of one problem, then the first again: every call gives
-        # the margins of a call with cold caches, bit for bit.
+        # The closed-form support reads its rows from the state, a moved one
+        # computes its own: every call gives the margins of a cold call, bit
+        # for bit, and the state is built once.
         z = 0.95
         first = optimal_design(self.PROBLEM, z)
         moved = Design([x * 0.999 for x in first.points], first.weights)
@@ -371,15 +374,14 @@ class TestCertifyCache:
                  (0.25, moved)]
         cold = []
         for zc, design in calls:
-            _clear_certify_caches()
+            clear_caches()
             cold.append(_margins(certify(self.PROBLEM, zc, design)))
-        _clear_certify_caches()
+        clear_caches()
         warm = [_margins(certify(self.PROBLEM, zc, design))
                 for zc, design in calls]
         assert warm == cold
         assert cold[0][-1] == "verified" and cold[1][-1] == "failed"
-        info = _support_rows.cache_info()
-        assert (info.misses, info.hits) == (2, 3)
+        assert _unit_state.cache_info().misses == 1
 
     @pytest.mark.parametrize("n", [4, 9])
     def test_batch_evaluates_each_design_point_once(self, n, monkeypatch,
@@ -403,7 +405,7 @@ class TestCertifyCache:
             return values(m, u)
 
         monkeypatch.setattr(basis, "values", counted)
-        _clear_certify_caches()
+        clear_caches()
         code = main(["design", "--n", str(n), "--a", "1",
                      "--z-list", *map(repr, zs)])
         assert code == 0, capsys.readouterr().err
@@ -467,20 +469,6 @@ class TestEmittedPolynomialMutations:
 
     SCALES = (1e-8, 1.0, 1e8)
 
-    @pytest.fixture
-    def coefficients(self, monkeypatch):
-        # Replaces the cached coefficient function; the condition-1 and the
-        # support-row caches, which call it, are cleared on the way in and
-        # out.
-        def install(p):
-            monkeypatch.setattr(elfving, "_extremal_coefficients",
-                                lambda n: p)
-            _condition1_margin.cache_clear()
-            _support_rows.cache_clear()
-        yield install
-        _condition1_margin.cache_clear()
-        _support_rows.cache_clear()
-
     @pytest.mark.parametrize("n", range(1, 31))
     def test_unmutated_design_verifies(self, n):
         for a in self.SCALES:
@@ -491,20 +479,46 @@ class TestEmittedPolynomialMutations:
             assert max(cert.condition2_residuals) <= 1e-11, (n, a)
 
     def test_condition1_margin_is_not_a_constant(self):
-        margins = {_condition1_margin(n) for n in range(1, 31)}
+        margins = {_unit_state(n).cond1 for n in range(1, 31)}
         assert len(margins) > 1
         assert all(abs(m) <= 1e-11 for m in margins)
 
+    def test_swapped_p_reaches_conditions_1_to_3(self, swap_p):
+        # One clear after the builder's p is swapped reaches every condition:
+        # no field of the unit state keeps what the old p gave.  Here p is
+        # negated, so condition 3 sees every sign flip, and its first
+        # coefficient is moved by 1e-6, which conditions 1 and 2 see.
+        problem = DesignProblem(4, 1.0)
+        design = optimal_design(problem, 1.0)
+        base = certify(problem, 1.0, design)
+        p = _unit_state(4).p
+        swapped = (-p[0] * (1.0 + 1e-6),) + tuple(-pk for pk in p[1:])
+        swap_p(swapped)
+        cert = certify(problem, 1.0, design)
+        assert cert.p[1:] == tuple(-pk for pk in base.p[1:])
+        us = [k / 4000 for k in range(4001)]
+        swept = max(map(abs, basis.series(swapped, us))) - 1.0
+        assert cert.condition1_margin >= swept > 1e-8
+        dots = [math.fsum(pk * gk for pk, gk in zip(swapped,
+                                                   basis.values(4, x)))
+                for x in design.points]
+        assert cert.condition2_residuals == tuple(abs(abs(v) - 1.0)
+                                                  for v in dots)
+        assert max(cert.condition2_residuals) > 1e-8
+        assert base.condition3_residual <= 1e-13
+        assert cert.condition3_residual > 0.5
+        assert cert.verdict == "failed"
+
     @pytest.mark.parametrize("n", range(1, 31))
-    def test_moved_coefficient_fails(self, n, coefficients):
-        p = _extremal_coefficients(n)
+    def test_moved_coefficient_fails(self, n, swap_p):
+        p = _unit_state(n).p
         designs = {a: optimal_design(DesignProblem(n, a), a)
                    for a in self.SCALES}
         for k in range(n):
             for step in (-1e-6, 1e-6):
                 moved = list(p)
                 moved[k] *= 1.0 + step
-                coefficients(tuple(moved))
+                swap_p(tuple(moved))
                 for a, design in designs.items():
                     cert = certify(DesignProblem(n, a), a, design)
                     assert cert.verdict == "failed", (n, a, k, step)
@@ -550,10 +564,10 @@ class TestGridFreeCondition1:
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_margin_matches_mpmath_sup(self, n):
-        sup = _mp_sup(_extremal_coefficients(n))
-        assert abs(_condition1_margin(n) - float(sup - 1)) <= 2e-14, n
+        sup = _mp_sup(_unit_state(n).p)
+        assert abs(_unit_state(n).cond1 - float(sup - 1)) <= 2e-14, n
 
-    def test_bump_between_grid_points_fails(self, monkeypatch):
+    def test_bump_between_grid_points_fails(self, swap_p):
         # S(u) = (1 + E)(2u / r - u^2 / r^2) peaks at 1 + E at u = r, the
         # middle of two points of the 2001-point grid, 5.4e-4 right of the
         # node sqrt(2) - 1 of n = 2.  Both grid points and the node lie at
@@ -563,19 +577,15 @@ class TestGridFreeCondition1:
         r = 829.5 / 2000
         big = (1.0 + E) / r
         p = (2.0 * big - 0.5 * big / r, -0.5 * big / r)
-        monkeypatch.setattr(elfving, "_extremal_coefficients", lambda n: p)
-        _condition1_margin.cache_clear()
-        try:
-            us = [k / 2000 for k in range(2001)] + [math.sqrt(2.0) - 1.0]
-            swept = max(map(abs, basis.series(p, us))) - 1.0
-            assert swept <= 1e-10
-            assert _condition1_margin(2) == pytest.approx(E, rel=1e-6)
-            problem = DesignProblem(2, 1.0)
-            cert = certify(problem, 1.0, optimal_design(problem, 1.0))
-            assert cert.condition1_margin > 1e-10
-            assert cert.verdict == "failed"
-        finally:
-            _condition1_margin.cache_clear()
+        swap_p(p)
+        us = [k / 2000 for k in range(2001)] + [math.sqrt(2.0) - 1.0]
+        swept = max(map(abs, basis.series(p, us))) - 1.0
+        assert swept <= 1e-10
+        assert _unit_state(2).cond1 == pytest.approx(E, rel=1e-6)
+        problem = DesignProblem(2, 1.0)
+        cert = certify(problem, 1.0, optimal_design(problem, 1.0))
+        assert cert.condition1_margin > 1e-10
+        assert cert.verdict == "failed"
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
     def test_margin_does_not_depend_on_the_grid(self, n):
@@ -583,25 +593,19 @@ class TestGridFreeCondition1:
         design = optimal_design(problem, 1.0)
         certs = []
         for m in (2, 11, 2001):
-            _clear_certify_caches()
+            clear_caches()
             certs.append(certify(problem, 1.0, design, grid_points=m))
         assert certs[0] == certs[1] == certs[2]
         assert certs[0].verifies
 
     @pytest.mark.parametrize("n", [2, 3, 9])
-    def test_broken_bracket_pattern_fails(self, n, monkeypatch):
+    def test_broken_bracket_pattern_fails(self, n, swap_p):
         # S(u) = u has |S| <= 1 on [0, 1], but S' = 1 changes sign across
         # no bracket: it is not the extremal polynomial, and the check has
         # no critical point to take the sup from.
         p = (1.0,) + (0.0,) * (n - 1)
-        monkeypatch.setattr(elfving, "_extremal_coefficients", lambda n: p)
-        _condition1_margin.cache_clear()
-        _support_rows.cache_clear()
-        try:
-            problem = DesignProblem(n, 1.0)
-            cert = certify(problem, 1.0, optimal_design(problem, 1.0))
-            assert cert.condition1_margin == math.inf
-            assert cert.verdict == "failed"
-        finally:
-            _condition1_margin.cache_clear()
-            _support_rows.cache_clear()
+        swap_p(p)
+        problem = DesignProblem(n, 1.0)
+        cert = certify(problem, 1.0, optimal_design(problem, 1.0))
+        assert cert.condition1_margin == math.inf
+        assert cert.verdict == "failed"

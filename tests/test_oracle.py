@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slopedesign import basis, designs, elfving, oracle
-from slopedesign.designs import (Design, DesignProblem, admissible_region,
-                                 basis_derivatives, optimal_design,
-                                 support_points, weights_at)
+from slopedesign import basis, elfving, oracle
+from slopedesign.designs import (Design, DesignProblem, _unit_state,
+                                 admissible_region, basis_derivatives,
+                                 optimal_design, support_points, weights_at)
 from slopedesign.elfving import certify, variance
 from slopedesign.oracle import (GridSpec, Infeasible, NumericalFailure,
                                 OracleReport, SingularSupport, compare,
@@ -18,6 +18,8 @@ from slopedesign.oracle import (GridSpec, Infeasible, NumericalFailure,
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import reference as R  # noqa: E402
+
+from helpers import clear_caches  # noqa: E402
 
 SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
@@ -191,22 +193,22 @@ class TestRestrictedWeights:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_support_point_not_finite(self, bad):
-        # A nan point once gave (nan, (nan, nan, nan)).  No exception is
-        # cached, so the check raises at every call.
-        oracle._pinned_matrix.cache_clear()
+        # A nan point once gave (nan, (nan, nan, nan)).  The check runs at
+        # every call, before any state is built.
+        clear_caches()
         for _ in range(3):
             with pytest.raises(SingularSupport):
                 restricted_weights(DesignProblem(3, 1.0), 0.5,
                                    (bad, 0.5, 1.0))
-        assert oracle._pinned_matrix.cache_info().currsize == 0
+        assert _unit_state.cache_info().currsize == 0
 
     def test_singular_support_raises_at_every_call(self):
-        oracle._pinned_matrix.cache_clear()
+        clear_caches()
         problem = DesignProblem(2, 1.0)
         for support in [(0.0, 1.0), (0.5, 0.5 + 1e-13)] * 2:
             with pytest.raises(SingularSupport):
                 restricted_weights(problem, 0.5, support)
-        assert oracle._pinned_matrix.cache_info().currsize == 0
+        assert _unit_state.cache_info().currsize == 0
 
     def test_support_of_any_sequence_type(self):
         problem = DesignProblem(3, 1.0)
@@ -305,13 +307,13 @@ class TestWarmStart:
     def test_warm_matches_cold(self, n, a):
         problem, grid = DesignProblem(n, a), GridSpec()
         zs = _targets(problem)
-        oracle._grid_lp.cache_clear()
+        clear_caches()
         warm = []
         for z in zs:
             h, d = lp_c_optimal(problem, z, grid)
             warm.append((h, d, sorted(oracle._grid_lp(problem, grid).basis)))
         for z, (h, d, basis) in zip(zs, warm):
-            oracle._grid_lp.cache_clear()
+            clear_caches()
             h_cold, d_cold = lp_c_optimal(problem, z, grid)
             if sorted(oracle._grid_lp(problem, grid).basis) == basis:
                 assert (h, d) == (h_cold, d_cold)
@@ -321,9 +323,9 @@ class TestWarmStart:
     @pytest.mark.parametrize("z1,z2", [(0.95, 0.5), (0.5, 0.95), (0.1, 0.5)])
     def test_previous_target_leaves_no_trace(self, z1, z2):
         problem = DesignProblem(4, 1.0)
-        oracle._grid_lp.cache_clear()
+        clear_caches()
         alone = compare(problem, z2)
-        oracle._grid_lp.cache_clear()
+        clear_caches()
         compare(problem, z1)
         assert compare(problem, z2) == alone
 
@@ -332,7 +334,7 @@ class TestWarmStart:
             raise AssertionError("the grid LP ran the two-phase simplex")
 
         monkeypatch.setattr(oracle, "_two_phase", two_phase)
-        oracle._grid_lp.cache_clear()
+        clear_caches()
         p, q = DesignProblem(3, 1.0), DesignProblem(3, 2.0)
         steps = [(p, 401, 1), (p, 401, 1), (p, 201, 2), (p, 201, 2),
                  (q, 201, 3), (q, 201, 3), (p, 401, 4)]
@@ -355,33 +357,23 @@ class TestWarmStart:
         assert var * a * a == pytest.approx(var1, rel=1e-12)
 
 
-_SUPPORT_CACHES = (designs._design_support, elfving._unit_rows,
-                   oracle._pinned_matrix)
-
-
-def _clear_support_caches():
-    for cache in _SUPPORT_CACHES:
-        cache.cache_clear()
-
-
 class TestSupportCaches:
-    """optimal_design, restricted_weights and variance check the closed-form
-    support and build its unit-basis matrix once per problem; what the
-    caches hold never shows in an output."""
+    """optimal_design, certify, restricted_weights and variance read the
+    closed-form support's rows from the unit state of the degree, built
+    once per n; what it holds never shows in an output."""
 
     @pytest.mark.parametrize("a", [0.1, 1.0, 2.0])
     @pytest.mark.parametrize("n", range(1, 13))
     def test_warm_compare_matches_cold(self, n, a):
-        # Both passes start the LP from the closed-form support and run the
-        # targets in the same order, so only the support caches differ.
+        # Each cold call starts from empty caches; the warm pass keeps the
+        # unit state and the LP of the targets before it.
         problem, grid = DesignProblem(n, a), GridSpec()
         zs = _targets(problem)
-        oracle._grid_lp.cache_clear()
         cold = []
         for z in zs:
-            _clear_support_caches()
+            clear_caches()
             cold.append(compare(problem, z, grid).as_dict())
-        oracle._grid_lp.cache_clear()
+        clear_caches()
         warm = [compare(problem, z, grid).as_dict() for z in zs]
         assert json.dumps(warm) == json.dumps(cold)
 
@@ -400,25 +392,26 @@ class TestSupportCaches:
                                cert.as_dict()])
 
         for z in zs:
-            _clear_support_caches()
+            clear_caches()
             cold = outputs()
             assert outputs() == cold
 
-    def test_each_cache_misses_once_per_problem(self):
-        _clear_support_caches()
-        for k, n in enumerate(range(1, 13), start=1):
-            problem = DesignProblem(n, 1.0 + 0.1 * n)
-            for z in _targets(problem):
-                compare(problem, z, GridSpec(201))
-            for cache in _SUPPORT_CACHES:
-                info = cache.cache_info()
-                assert (info.misses, info.maxsize) == (k, 8)
-                assert info.currsize == min(k, 8)
+    def test_state_misses_once_per_degree(self):
+        clear_caches()
+        for n in range(1, 13):
+            for a in (1e-8, 1.0, 1e8):
+                problem = DesignProblem(n, a)
+                for z in _targets(problem):
+                    report = compare(problem, z, GridSpec(201))
+                    if report.covered:
+                        certify(problem, z, optimal_design(problem, z))
+            info = _unit_state.cache_info()
+            assert (info.misses, info.currsize) == (n, n)
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_variance_off_the_support(self, n):
-        # Designs of 2n points and of n - 1 points, against variance as it
-        # was written before the model vectors were cached.
+        # Designs of 2n points and of n - 1 points, against variance written
+        # out here with numpy, cold and warm.
         problem = DesignProblem(n, 1.7)
         rng = np.random.default_rng(n)
         for size in (2 * n, n - 1):
@@ -436,7 +429,7 @@ class TestSupportCaches:
                 if np.linalg.norm(bt @ y - c) <= 1e-8 * np.linalg.norm(c):
                     want = (float(np.linalg.norm(y)) * factor) ** 2
                 assert math.isinf(want) == (size < n)
-                elfving._unit_rows.cache_clear()
+                clear_caches()
                 assert variance(problem, design, z) == want  # cold
                 assert variance(problem, design, z) == want  # warm
 
@@ -461,7 +454,7 @@ class TestCrashStart:
         grid = GridSpec(201)
         for a in self.SCALES:
             problem = DesignProblem(n, a)
-            oracle._grid_lp.cache_clear()
+            clear_caches()
             for z in _targets(problem):
                 h, _ = lp_c_optimal(problem, z, grid)
                 lp = oracle._grid_lp(problem, grid)
@@ -477,7 +470,7 @@ class TestCrashStart:
         for a in self.SCALES:
             problem = DesignProblem(n, a)
             for z in _targets(problem):
-                oracle._grid_lp.cache_clear()
+                clear_caches()
                 h, _ = lp_c_optimal(problem, z, grid)
                 lp = oracle._grid_lp(problem, grid)
                 best = sorted(lp.basis)
@@ -500,7 +493,7 @@ class TestCrashStart:
         # at u = 1/200; after the mirror swap every +g column prices at
         # y.g(u) <= 1 and only mirror columns have y.g(u) < -1.
         problem, grid = DesignProblem(2, 1.0), GridSpec(201)
-        oracle._grid_lp.cache_clear()
+        clear_caches()
         h, _ = lp_c_optimal(problem, 1.0, grid)
         lp = oracle._grid_lp(problem, grid)
         start = [lp.points.size + 1, lp.points.size - 1]
@@ -528,7 +521,7 @@ class TestRevisedRestart:
         grid = GridSpec(201)
         for a in self.SCALES:
             problem = DesignProblem(n, a)
-            oracle._grid_lp.cache_clear()
+            clear_caches()
             for z in _targets(problem):
                 lp_c_optimal(problem, z, grid)
                 lp = oracle._grid_lp(problem, grid)
@@ -543,7 +536,7 @@ class TestRevisedRestart:
         import tracemalloc
         problem, grid = DesignProblem(n, 1.0), GridSpec(2001)
         zs = _targets(problem)
-        oracle._grid_lp.cache_clear()
+        clear_caches()
         lp_c_optimal(problem, zs[-1], grid)
         lp = oracle._grid_lp(problem, grid)
         start = sorted(lp.basis)
@@ -561,7 +554,7 @@ class TestRevisedRestart:
     def test_iteration_cap_raises_on_a_gap_target(self, monkeypatch):
         problem = DesignProblem(4, 1.0)
         monkeypatch.setattr(oracle, "_MAX_ITER", 0)
-        oracle._grid_lp.cache_clear()
+        clear_caches()
         # A target inside the region is priced out at the start: no pivot.
         lp_c_optimal(problem, 1.0)
         assert 0.5 not in admissible_region(problem)

@@ -12,6 +12,8 @@ from slopedesign import (AdmissibleRegion, Design, DesignProblem,
                          admissible_region)
 from slopedesign import designs
 
+from helpers import clear_caches
+
 DESIGN = Design((0.5, 1.0), (0.25, 0.75))
 
 # For each record class: two constructor argument tuples that give equal
@@ -109,21 +111,23 @@ def test_keyword_construction_of_the_validated_records():
 
 def test_region_roots_are_solved_lazily_and_cached(monkeypatch):
     calls = []
-    unit_roots = designs._unit_roots
+    roots_of = designs._UnitState._roots_of
 
-    def counted(n, i):
+    def counted(state, i):
         calls.append(i)
-        return unit_roots(n, i)
+        return roots_of(state, i)
 
-    monkeypatch.setattr(designs, "_unit_roots", counted)
-    designs.admissible_region.cache_clear()
+    monkeypatch.setattr(designs._UnitState, "_roots_of", counted)
+    clear_caches()
     region = admissible_region(DesignProblem(5, 3.0))
     assert sorted(calls) == [0, 4]  # only the two sets of the intervals
     roots = region.boundary_roots
-    assert sorted(calls) == [0, 0, 1, 2, 3, 4, 4]
-    assert region.boundary_roots is roots
-    assert len(calls) == 7
-    # The cached roots take no part in equality, hash, repr or pickling.
+    assert sorted(calls) == [0, 1, 2, 3, 4]
+    assert region.boundary_roots == roots
+    # Another a of the degree scales the same unit roots.
+    assert len(admissible_region(DesignProblem(5, 7.0)).boundary_roots) == 5
+    assert len(calls) == 5
+    # The roots take no part in equality, hash, repr or pickling.
     fresh = AdmissibleRegion(region.a, region.intervals)
     assert fresh == region and hash(fresh) == hash(region)
     assert repr(fresh) == repr(region)
