@@ -352,6 +352,14 @@ def _cmd_plotdata(args) -> int:
         lo, hi = region.intervals[0][1], region.intervals[-1][0]
         pad = 0.1 * (hi - lo)
         lo, hi = lo - pad, hi + pad
+    try:
+        # The scales D_i * a of the basis derivatives do not depend on z,
+        # so one row before the header shows whether any underflows to 0.
+        basis_derivatives(problem, lo)
+    except ZeroDivisionError as exc:
+        raise _UsageExit(f"a={problem.a!r} is too small for n={problem.n}: "
+                         "the scales of the basis derivatives underflow to "
+                         "0 when multiplied by it") from exc
     out.write("z," + ",".join(f"L{i}p" for i in range(1, problem.n + 1)) + "\n")
     for k in range(m):
         z = lo + (hi - lo) * k / (m - 1)

@@ -98,17 +98,25 @@ def _unit_rows(problem: DesignProblem, points: tuple[float, ...]):
 def variance(problem: DesignProblem, design: Design, z: float) -> float:
     """c^T M^- c for the slope c = f'(z); +inf when c is not estimable.
 
-    Evaluated in the unit basis of :mod:`slopedesign.basis` through the
-    weighted square-root factor of M = B^T B: the minimum-norm solution of
-    B^T y = c gives c^T M^- c = |y|^2, whatever the generalized inverse.  c
-    is not estimable when the relative least-squares residual exceeds 1e-8.
-    Raises :class:`OverflowError` when the system is not finite, such as
-    when a design point lies far outside [0, a].  The model vectors of the
-    closed-form support are the unit state's; those of any other design are
-    built at each call.
+    Evaluated in the unit basis of :mod:`slopedesign.basis`.  On the
+    closed-form support, whose n x n matrix G of model vectors is the unit
+    state's and nonsingular, M^-1 = G^-T W^-1 G^-1 gives
+    c^T M^-1 c = sum_i beta_i^2 / w_i with G beta = c, from one solve.  Any
+    other design goes through the weighted square-root factor of
+    M = B^T B, with B built at each call: the minimum-norm solution of
+    B^T y = c gives c^T M^- c = |y|^2, whatever the generalized inverse,
+    and c is not estimable when the relative least-squares residual exceeds
+    1e-8.  Raises :class:`OverflowError` when that system is not finite,
+    such as when a design point lies far outside [0, a].
     """
     import numpy as np
     c, factor = _unit_slope(problem, z)
+    if design.points == support_points(problem):
+        beta = np.linalg.solve(_unit_state(problem.n).matrix, c).tolist()
+        # sum, not fsum: a sum beyond the float range is inf, not an error.
+        root = math.sqrt(sum(b * b / w for b, w
+                             in zip(beta, design.weights))) * factor
+        return root * root
     rows = _unit_rows(problem, design.points)
     with np.errstate(over="ignore", invalid="ignore"):
         bt = rows * np.sqrt(design.weights)

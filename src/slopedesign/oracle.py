@@ -263,6 +263,12 @@ class _GridLP:
     When pricing with the updated inverse finds none, the basis is priced
     again from a fresh solve, so a drifted inverse cannot end the solve.
     The first start is the closed-form support, which the grid holds exactly.
+
+    ``optimal`` is the basis the last solve priced optimal, None before the
+    first.  Reduced costs do not depend on the right-hand side, so while it
+    is still the start and stays primal feasible for a new target, it is
+    still optimal and needs no pricing; its global mirror, whose reduced
+    costs 1 - v and 1 + v only swap, is optimal as well.
     """
 
     def __init__(self, problem: DesignProblem, grid: GridSpec):
@@ -270,6 +276,7 @@ class _GridLP:
         self.points = np.unique(np.concatenate([grid.points(problem), support]))
         self.G = np.array(unit_basis.values(problem.n, self.points / problem.a))
         self.basis: list[int] = np.searchsorted(self.points, support).tolist()
+        self.optimal: list[int] | None = None
 
     def columns(self, index) -> np.ndarray:
         """The LP columns at ``index``: g(u_j) for j < m, else -g(u_{j-m})."""
@@ -278,9 +285,28 @@ class _GridLP:
         return self.G[:, index % m] * np.where(index < m, 1.0, -1.0)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The optimal x over [G, -G], from a restart of the primal simplex."""
-        self.basis = self._restart(rhs)
-        x = _basic_solution(self.columns, rhs, self.basis, 2 * self.points.size)
+        """The optimal x over [G, -G].
+
+        When the start is the last optimal basis, x comes first from one
+        solve on its sorted columns, as the last solve's own x did: it is
+        returned as it is when every entry exceeds 1e-12 of their sum, and
+        when every entry is below -1e-12 of the sum of their magnitudes the
+        mirror basis is solved instead, with no pricing in either case.
+        Any other case restarts the primal simplex.
+        """
+        m = self.points.size
+        mirror = None
+        if self.basis == self.optimal:
+            order = sorted(self.basis)
+            x_b = np.linalg.solve(self.columns(order), rhs)
+            if (x_b > 1e-12 * x_b.sum()).all():
+                x = np.zeros(2 * m)
+                x[order] = x_b
+                return x
+            if (x_b < -1e-12 * np.abs(x_b).sum()).all():
+                mirror = [(j + m) % (2 * m) for j in self.basis]
+        self.basis = self.optimal = mirror or self._restart(rhs)
+        x = _basic_solution(self.columns, rhs, self.basis, 2 * m)
         # The optimal bases of a degenerate optimum differ in columns at 0;
         # solving on the positive columns makes x the same for all of them.
         support = np.flatnonzero(x > 1e-12 * x.sum())
@@ -351,8 +377,10 @@ def lp_c_optimal(problem: DesignProblem, z: float,
     most 1 whatever a is.  The LP of the last problem and grid is kept as
     G alone, the mirror columns -G staying implicit; its first target starts
     from the closed-form support, a later one from the last optimal basis,
-    and a revised primal simplex restarts there with no phase 1.  x holds
-    the weight on +g(u_j) and then on -g(u_j); a point's mass is their sum.
+    which is kept without pricing while it or its mirror stays primal
+    feasible, and otherwise a revised primal simplex restarts there with no
+    phase 1.  x holds the weight on +g(u_j) and then on -g(u_j); a point's
+    mass is their sum, and the design is built from Python floats.
     """
     if grid.m < problem.n + 1:
         raise ValueError("grid must have at least n+1 points")
@@ -363,7 +391,7 @@ def lp_c_optimal(problem: DesignProblem, z: float,
     mass = x[:pts.size] + x[pts.size:]
     sel = mass > 1e-12 * mass.sum()
     w = mass[sel] / mass[sel].sum()
-    return float(x.sum()) * factor, Design(pts[sel], w)
+    return float(x.sum()) * factor, Design(pts[sel].tolist(), w.tolist())
 
 
 def restricted_weights(problem: DesignProblem, z: float,

@@ -318,6 +318,19 @@ class TestPlotdataCommand:
         assert code == 0
         assert len(calls) == 2 * (n - 1)
 
+    # The region does not collapse, but a scale D_i * a of the basis
+    # derivatives underflows to 0: a usage error naming a, with no partial
+    # CSV on stdout.
+    @pytest.mark.parametrize("n,a", [("30", "1e-310"), ("9", "1e-321"),
+                                     ("2", "1e-323")])
+    def test_weightderivs_at_a_subnormal_a(self, capsys, n, a):
+        code, out, err = run(capsys, "plotdata", "--n", n, "--a", a,
+                             "--what", "weightderivs", "--samples", "5")
+        assert code == 64
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"a={float(a)!r}" in err
+
     def test_newline_terminated_deterministic(self, capsys):
         _, out1, _ = run(capsys, "plotdata", "--n", "2", "--a", "1",
                          "--what", "extremal", "--samples", "10")

@@ -157,6 +157,27 @@ class TestVariance:
             via_pinv = float(c @ np.linalg.pinv(m) @ c)
             assert via_factor == pytest.approx(via_pinv, rel=1e-9)
 
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_closed_form_support_matches_reference(self, n, a):
+        # Weights that are not optimal, uniform and seeded random, on the
+        # closed-form support, whose variance is one n x n solve.  The
+        # reference runs on [0, 1] in 40 digits, where its monomial matrix
+        # is not singular to mpmath, and scales by 1 / a^2: with
+        # f(x) = diag(a^k) f(x / a), c^T M^- c is that at a = 1 over a^2.
+        problem = DesignProblem(n, a)
+        s = support_points(problem)
+        rng = random.Random(n)
+        w = [rng.uniform(0.1, 1.0) for _ in s]
+        unit = [R.mp.mpf(x) / a for x in s]
+        for weights in ([1.0 / n] * n, [x / math.fsum(w) for x in w]):
+            design = Design(s, weights)
+            for z in (a, -0.5 * a):
+                want = R.to_float(R.design_variance(
+                    n, R.mp.mpf(z) / a, unit, design.weights) / R.mp.mpf(a) ** 2)
+                assert variance(problem, design, z) == pytest.approx(
+                    want, rel=1e-12), (n, a, z)
+
 
 def _trig_extremal(problem, x):
     """The reference form of the extremal polynomial, T_n((1 + c) x / a - c)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slopedesign import basis, elfving, oracle
+from slopedesign import basis, designs, elfving, oracle
 from slopedesign.designs import (Design, DesignProblem, _unit_state,
                                  admissible_region, basis_derivatives,
                                  optimal_design, support_points, weights_at)
@@ -273,6 +273,26 @@ class TestCompare:
             k = dists.index(min(dists))
             assert oracle._nearest(pts, x) == (k, dists[k])
 
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("n", [2, 7, 12, 30])
+    def test_mutated_closed_form_weight_disagrees(self, n, a, monkeypatch):
+        # One closed-form weight scaled by 1 + 1e-3 and renormalised: the
+        # variance of the closed-form design leaves the restricted route's
+        # optimum by far more than 1e-9, so the cross-check must fail.
+        problem = DesignProblem(n, a)
+        clear_caches()
+        assert compare(problem, a).agrees is True
+        exact = designs.weights_at
+
+        def mutated(problem, z):
+            w = list(exact(problem, z))
+            w[n // 2] *= 1 + 1e-3
+            total = math.fsum(w)
+            return tuple(v / total for v in w)
+
+        monkeypatch.setattr(designs, "weights_at", mutated)
+        assert compare(problem, a).agrees is False
+
     def test_as_dict_parallel_arrays(self):
         doc = compare(DesignProblem(2, 1.0), 0.9, GridSpec(201)).as_dict()
         assert set(doc["lp_design"]) == {"points", "weights"}
@@ -344,6 +364,40 @@ class TestWarmStart:
             lp_c_optimal(problem, z, GridSpec(m))
             assert oracle._grid_lp.cache_info().misses == built
             assert oracle._grid_lp.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("n", [2, 7, 12, 30])
+    def test_feasible_optimal_basis_is_not_priced(self, n, a, monkeypatch):
+        # z = a, a second target of the last interval, the middle of
+        # interval n - 1, where every weight of the closed form changes
+        # sign so that the mirror of the last basis is optimal, the first
+        # gap, and z = a again.  Only the gap target needs pricing; every
+        # report is the one a cold call gives.
+        problem, grid = DesignProblem(n, a), GridSpec()
+        intervals = admissible_region(problem).intervals
+        lo, hi = intervals[-2]
+        if math.isinf(lo):
+            lo = hi - a
+        zs = [a, 0.5 * (intervals[-1][0] + a), 0.5 * (lo + hi),
+              0.5 * (intervals[0][1] + intervals[1][0]), a]
+        assert zs[3] not in admissible_region(problem)
+        cold = []
+        for z in zs:
+            clear_caches()
+            cold.append(json.dumps(compare(problem, z, grid).as_dict()))
+        prices = oracle._GridLP._prices
+        calls = []
+
+        def counted(self, basis):
+            calls[-1] += 1
+            return prices(self, basis)
+
+        monkeypatch.setattr(oracle._GridLP, "_prices", counted)
+        clear_caches()
+        for z, want in zip(zs, cold):
+            calls.append(0)
+            assert json.dumps(compare(problem, z, grid).as_dict()) == want
+        assert calls[1:3] == [0, 0] and calls[3] >= 1, calls
 
     @pytest.mark.parametrize("a", [1e-100, 1e100])
     def test_scale_equivariant(self, a):
