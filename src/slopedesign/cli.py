@@ -318,6 +318,10 @@ def _cmd_oracle(args) -> int:
         report = compare(problem, args.z, args.grid)
     except OverflowError as exc:
         raise _UsageExit(f"z={args.z!r} is out of range: {exc}") from exc
+    except MemoryError as exc:
+        # The grid LP holds a few doubles per grid point and degree.
+        raise _UsageExit(f"--grid {args.grid} is too large: the grid LP "
+                         "does not fit in memory") from exc
     except (NumericalFailure, SingularSupport, LinAlgError) as exc:
         raise _InternalError(exc) from exc
     except ValueError as exc:

@@ -256,11 +256,15 @@ class _UnitState:
     def _build_support_rows(self):
         return _rows_at(self.n, self.p, self.s)
 
-    def _build_matrix(self):
+    def _build_inverse(self):
+        # G^-1 for the n x n matrix G of columns g(s_i), so that the
+        # systems G beta = c of every target on the support are one
+        # product each.  G is well conditioned in the unit basis (1.6e2 at
+        # n = 12, 1.0e3 at n = 30).
         import numpy as np
-        rows = np.array(basis.values(self.n, np.array(self.s)))
-        rows.flags.writeable = False  # shared by every call
-        return rows
+        inverse = np.linalg.inv(basis.values(self.n, np.array(self.s)))
+        inverse.flags.writeable = False  # shared by every call
+        return inverse
 
 
 _unit_state = lru_cache(maxsize=256)(_UnitState)

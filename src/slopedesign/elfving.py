@@ -85,11 +85,8 @@ def _unit_slope(problem: DesignProblem, z: float) -> tuple[tuple, float]:
 
 
 def _unit_rows(problem: DesignProblem, points: tuple[float, ...]):
-    # The n x m array with columns g(x_i / a): the unit state's for the
-    # closed-form support, else built for these points.  An entry that
-    # overflows is inf or nan, with no warning.
-    if points == support_points(problem):
-        return _unit_state(problem.n).matrix
+    # The n x m array with columns g(x_i / a).  An entry that overflows is
+    # inf or nan, with no warning.
     import numpy as np
     return np.array([basis.values(problem.n, x / problem.a)
                      for x in points]).T
@@ -99,9 +96,10 @@ def variance(problem: DesignProblem, design: Design, z: float) -> float:
     """c^T M^- c for the slope c = f'(z); +inf when c is not estimable.
 
     Evaluated in the unit basis of :mod:`slopedesign.basis`.  On the
-    closed-form support, whose n x n matrix G of model vectors is the unit
-    state's and nonsingular, M^-1 = G^-T W^-1 G^-1 gives
-    c^T M^-1 c = sum_i beta_i^2 / w_i with G beta = c, from one solve.  Any
+    closed-form support, whose n x n matrix G of model vectors is
+    nonsingular, M^-1 = G^-T W^-1 G^-1 gives
+    c^T M^-1 c = sum_i beta_i^2 / w_i with beta = G^-1 c, one product with
+    the inverse that the unit state keeps.  Any
     other design goes through the weighted square-root factor of
     M = B^T B, with B built at each call: the minimum-norm solution of
     B^T y = c gives c^T M^- c = |y|^2, whatever the generalized inverse,
@@ -112,7 +110,7 @@ def variance(problem: DesignProblem, design: Design, z: float) -> float:
     import numpy as np
     c, factor = _unit_slope(problem, z)
     if design.points == support_points(problem):
-        beta = np.linalg.solve(_unit_state(problem.n).matrix, c).tolist()
+        beta = (_unit_state(problem.n).inverse @ c).tolist()
         # sum, not fsum: a sum beyond the float range is inf, not an error.
         root = math.sqrt(sum(b * b / w for b, w
                              in zip(beta, design.weights))) * factor

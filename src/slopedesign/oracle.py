@@ -13,6 +13,14 @@ fixed-support route is pinned to it.  Inside the admissible region all three
 routes must agree; outside, the LP beats the fixed support by a measurable
 margin, which is exactly the evidence that the closed form does not extend
 there.
+
+Only the right-hand side c = f'(z) depends on the target, so each n x n
+matrix is inverted once and kept while it is in use: the fixed-support
+route and the variance read the inverse that the unit state of the degree
+keeps for the closed-form support, and the LP keeps the inverse of its
+last optimal basis, whose negation is that of the basis's mirror.  A
+covered target after the first is then a few matrix-vector products, with
+no LAPACK call.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 from . import basis as unit_basis  # `basis` names the LP basis here
 from ._record import Record
 from .designs import (BoundaryPoint, Design, DesignProblem, NotCovered,
-                      optimal_design, support_points)
+                      _unit_state, optimal_design, support_points)
 from .elfving import _unit_rows, _unit_slope, variance
 
 
@@ -131,6 +139,14 @@ def _choose_pivot(reduced: np.ndarray, column, rhs: np.ndarray,
             return None
         col = int(candidates[0])
     d = column(col)
+    row, degenerate = _ratio_test(d, rhs, basis)
+    return col, row, d, degenerate
+
+
+def _ratio_test(d: np.ndarray, rhs: np.ndarray,
+                basis: list[int]) -> tuple[int, bool]:
+    # The leaving row for the entering column d = B^-1 a_j, and whether the
+    # step is degenerate.
     best_key = None
     best_row = -1
     for i, (a, r) in enumerate(zip(d.tolist(), rhs.tolist())):
@@ -140,7 +156,7 @@ def _choose_pivot(reduced: np.ndarray, column, rhs: np.ndarray,
                 best_key, best_row = key, i
     if best_row < 0:
         raise NumericalFailure("unbounded pivot direction")
-    return col, best_row, d, best_key[0] <= 0.0
+    return best_row, best_key[0] <= 0.0
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -215,17 +231,43 @@ def _phase2(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
     _simplex_loop(tableau, basis, k, max_iter, tol)
 
 
-def _basic_solution(columns, b: np.ndarray, basis: list[int],
-                    size: int) -> np.ndarray:
-    # One solve on the sorted basis, so that x depends only on the basis the
-    # simplex ends on and not on the pivots that led there.  columns(order)
-    # gives the columns of the constraint matrix at the indices order.
-    order = sorted(basis)
-    x = np.zeros(size)
+def _factor(columns, basis: list[int]) -> tuple:
+    # The columns of a final basis in a canonical order, their matrix B and
+    # B^-1, from which every x on that basis is taken: x then depends only on
+    # the basis and not on the pivots that led there.  The order sorts the
+    # columns by their magnitudes, lexicographically from the first row,
+    # then by index, so that a column and its negation take the same place:
+    # LU with partial pivoting rounds alike in either sign, so the basis of
+    # the negated columns has the factor (-B, -B^-1) exactly.  columns(index)
+    # gives the columns of the constraint matrix at the indices.
+    basis = np.asarray(basis)
+    unordered = columns(basis)
+    by_size = np.lexsort((basis, *np.abs(unordered)[::-1]))
+    # One memory order for B, in which B x rounds the same for every caller.
+    matrix = np.ascontiguousarray(unordered[:, by_size])
     try:
-        x[order] = np.linalg.solve(columns(order), b)
+        return basis[by_size], matrix, np.linalg.inv(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular final basis: {exc}") from exc
+
+
+def _solution(factor: tuple, b: np.ndarray) -> np.ndarray:
+    # B^-1 b, refined once with the residual b - B x.  The product with the
+    # explicit inverse alone errs by up to cond(B) eps: 6e-12 relative in h
+    # on the bases of gap targets, whose cond(B) reaches 6e4, where a
+    # backward-stable solve errs by 2e-14.  One step of refinement brings
+    # it to 4e-15 (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2002, ch. 12).
+    _, matrix, inverse = factor
+    x = inverse @ b
+    return x + inverse @ (b - matrix @ x)
+
+
+def _basic_solution(columns, b: np.ndarray, basis: list[int],
+                    size: int) -> np.ndarray:
+    factor = _factor(columns, basis)
+    x = np.zeros(size)
+    x[factor[0]] = _solution(factor, b)
     np.maximum(x, 0.0, out=x)
     return x
 
@@ -234,9 +276,10 @@ def simplex_minimize(cost, A, b, max_iter: int = _MAX_ITER,
                      tol: float = _TOL) -> tuple[np.ndarray, float]:
     """Solve min cost.x subject to A x = b, x >= 0 (two-phase primal).
 
-    Deterministic dense tableau; x comes from one linear solve on the sorted
-    optimal basis.  Raises :class:`Infeasible` when the phase-1 objective
-    stays positive and :class:`NumericalFailure` on the iteration cap.
+    Deterministic dense tableau; x is the inverse of the optimal basis, its
+    columns in a canonical order, times b, refined once.  Raises
+    :class:`Infeasible` when the phase-1 objective stays positive and
+    :class:`NumericalFailure` on the iteration cap.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -247,11 +290,30 @@ def simplex_minimize(cost, A, b, max_iter: int = _MAX_ITER,
     return x, float(cost @ x)
 
 
+def _entering(v: np.ndarray, stall: int) -> int | None:
+    # The entering column of [G, -G] at reduced costs 1 - v and 1 + v, as
+    # _choose_pivot picks it from their concatenation: the most negative,
+    # the +g one on a tie, or after 30 degenerate steps the first below
+    # -_TOL (Bland); None when none is below -_TOL.
+    plus, minus = 1.0 - v, 1.0 + v
+    if stall < 30:
+        j, k = plus.argmin(), minus.argmin()
+        if minus[k] < plus[j]:
+            return None if minus[k] >= -_TOL else int(k) + v.size
+        return None if plus[j] >= -_TOL else int(j)
+    for half, reduced in enumerate((plus, minus)):
+        below = np.flatnonzero(reduced < -_TOL)
+        if below.size:
+            return int(below[0]) + half * v.size
+    return None
+
+
 class _GridLP:
     """The grid LP of one problem: min sum(x) subject to [G, -G] x = rhs,
     x >= 0, with G[k-1, j] = g_k(u_j) of :mod:`slopedesign.basis` on the
     unit grid u = x / a, and the basis the next solve starts from.  Only G
-    is stored: column j >= m of the LP is the mirror -G[:, j - m].
+    is stored, with its transpose GT, whose rows are the entering columns
+    of a pivot: column j >= m of the LP is the mirror -G[:, j - m].
 
     Only the right-hand side depends on the target, and the costs never
     change, so every solve restarts a revised primal simplex from a basis
@@ -265,56 +327,71 @@ class _GridLP:
     The first start is the closed-form support, which the grid holds exactly.
 
     ``optimal`` is the basis the last solve priced optimal, None before the
-    first.  Reduced costs do not depend on the right-hand side, so while it
-    is still the start and stays primal feasible for a new target, it is
-    still optimal and needs no pricing; its global mirror, whose reduced
-    costs 1 - v and 1 + v only swap, is optimal as well.
+    first, and ``factor`` its columns in the order of their grid points,
+    their matrix B and B^-1, inverted once per basis: every x on it is a
+    product with B^-1, refined once.  Reduced costs do not depend on the
+    right-hand side, so while that basis is still the start and stays primal
+    feasible for a new target, it is still optimal and needs no pricing; its
+    global mirror, whose reduced costs 1 - v and 1 + v only swap, is optimal
+    as well, and its factor is (-B, -B^-1), exactly what inverting it would
+    give.
     """
 
     def __init__(self, problem: DesignProblem, grid: GridSpec):
         support = np.asarray(support_points(problem))
         self.points = np.unique(np.concatenate([grid.points(problem), support]))
         self.G = np.array(unit_basis.values(problem.n, self.points / problem.a))
+        self.GT = self.G.T.copy()
         self.basis: list[int] = np.searchsorted(self.points, support).tolist()
         self.optimal: list[int] | None = None
+        self.factor = None
 
     def columns(self, index) -> np.ndarray:
         """The LP columns at ``index``: g(u_j) for j < m, else -g(u_{j-m})."""
         index = np.asarray(index)
         m = self.points.size
-        return self.G[:, index % m] * np.where(index < m, 1.0, -1.0)
+        rows = self.GT[index % m]
+        np.negative(rows, out=rows, where=(index >= m)[:, None])
+        return rows.T
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The optimal x over [G, -G].
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The optimal x over [G, -G]: the columns of the final basis, in
+        the order of their grid points, and their values, with every other
+        entry 0; at a degenerate optimum, only the positive columns.
 
-        When the start is the last optimal basis, x comes first from one
-        solve on its sorted columns, as the last solve's own x did: it is
-        returned as it is when every entry exceeds 1e-12 of their sum, and
-        when every entry is below -1e-12 of the sum of their magnitudes the
-        mirror basis is solved instead, with no pricing in either case.
-        Any other case restarts the primal simplex.
+        x is the kept inverse of the final basis times rhs, refined once.
+        When the start is the last optimal basis, that x is returned as it
+        is when every entry exceeds 1e-12 of their sum, and when every entry
+        is below -1e-12 of the sum of their magnitudes the mirror basis is
+        taken instead, with no pricing in either case.  Any other case
+        restarts the primal simplex and inverts the basis it ends on.
         """
-        m = self.points.size
-        mirror = None
         if self.basis == self.optimal:
-            order = sorted(self.basis)
-            x_b = np.linalg.solve(self.columns(order), rhs)
-            if (x_b > 1e-12 * x_b.sum()).all():
-                x = np.zeros(2 * m)
-                x[order] = x_b
-                return x
-            if (x_b < -1e-12 * np.abs(x_b).sum()).all():
-                mirror = [(j + m) % (2 * m) for j in self.basis]
-        self.basis = self.optimal = mirror or self._restart(rhs)
-        x = _basic_solution(self.columns, rhs, self.basis, 2 * m)
-        # The optimal bases of a degenerate optimum differ in columns at 0;
-        # solving on the positive columns makes x the same for all of them.
-        support = np.flatnonzero(x > 1e-12 * x.sum())
-        if support.size < rhs.size:
-            x = np.zeros_like(x)
-            x[support] = np.linalg.lstsq(self.columns(support), rhs,
-                                         rcond=None)[0]
-        return x
+            x = _solution(self.factor, rhs)
+            if (x > 1e-12 * x.sum()).all():
+                return self.factor[0], x
+            if (x < -1e-12 * np.abs(x).sum()).all():
+                m = self.points.size
+                order, matrix, inverse = self.factor
+                self.basis = self.optimal = [(j + m) % (2 * m)
+                                             for j in self.optimal]
+                self.factor = (order + m) % (2 * m), -matrix, -inverse
+                return self._positive(rhs)
+        self.basis = self.optimal = self._restart(rhs)
+        self.factor = _factor(self.columns, self.basis)
+        return self._positive(rhs)
+
+    def _positive(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # x on the final basis.  The optimal bases of a degenerate optimum
+        # differ in columns at 0; solving on the positive columns makes x the
+        # same for all of them.
+        x = np.maximum(_solution(self.factor, rhs), 0.0)
+        positive = x > 1e-12 * x.sum()
+        order, matrix, _ = self.factor
+        if positive.all():
+            return order, x
+        return order[positive], np.linalg.lstsq(matrix[:, positive], rhs,
+                                                rcond=None)[0]
 
     def _prices(self, basis: list[int]) -> np.ndarray:
         # v = y.G with B^T y = 1, from a fresh solve.
@@ -322,7 +399,7 @@ class _GridLP:
         return y @ self.G
 
     def _restart(self, rhs: np.ndarray) -> list[int]:
-        G = self.G
+        G, GT = self.G, self.GT
         m = self.points.size
         basis = np.array(self.basis)
         x_b = np.linalg.solve(self.columns(basis), rhs)
@@ -334,16 +411,10 @@ class _GridLP:
             return basis
         inverse = np.linalg.inv(self.columns(basis))
         x_b = np.abs(x_b)
-
-        def column(j: int) -> np.ndarray:
-            d = inverse @ G[:, j % m]
-            return d if j < m else -d
-
         stall = 0
         for _ in range(_MAX_ITER):
-            step = _choose_pivot(np.concatenate((1.0 - v, 1.0 + v)), column,
-                                 x_b, basis, stall, _TOL)
-            if step is None:
+            col = _entering(v, stall)
+            if col is None:
                 # Priced out by the updated inverse; price again afresh.
                 v = self._prices(basis)
                 if 1.0 - np.abs(v).max() >= -_TOL:
@@ -351,13 +422,16 @@ class _GridLP:
                 inverse = np.linalg.inv(self.columns(basis))
                 x_b = inverse @ rhs
                 continue
-            col, row, d, degenerate = step
+            d = inverse @ GT[col % m]
+            if col >= m:
+                np.negative(d, out=d)
+            row, degenerate = _ratio_test(d, x_b, basis)
             stall = stall + 1 if degenerate else 0
             basis[row] = col
             inverse[row] /= d[row]
             x_b[row] /= d[row]
             d[row] = 0.0
-            inverse -= np.outer(d, inverse[row])
+            inverse -= d[:, None] * inverse[row]
             x_b -= d * x_b[row]
             v = inverse.sum(axis=0) @ G
         raise NumericalFailure("simplex iteration cap exceeded")
@@ -379,19 +453,24 @@ def lp_c_optimal(problem: DesignProblem, z: float,
     from the closed-form support, a later one from the last optimal basis,
     which is kept without pricing while it or its mirror stays primal
     feasible, and otherwise a revised primal simplex restarts there with no
-    phase 1.  x holds the weight on +g(u_j) and then on -g(u_j); a point's
-    mass is their sum, and the design is built from Python floats.
+    phase 1.  The solve gives the columns of x that are positive, each
+    +g(u_j) or -g(u_j) of one grid point, in the order of those points, and
+    their values: the design puts on each such point its value over their
+    sum.  h is summed over all 2m entries of x, as numpy sums the x of
+    simplex_minimize, so that the two give the same h on the same basis bit
+    for bit; a sum of the values alone differs in the last bit on about half
+    of the bases.  The design is built from Python floats.
     """
     if grid.m < problem.n + 1:
         raise ValueError("grid must have at least n+1 points")
     rhs, factor = _unit_slope(problem, z)
     lp = _grid_lp(problem, grid)
-    x = lp.solve(np.array(rhs))
-    pts = lp.points
-    mass = x[:pts.size] + x[pts.size:]
-    sel = mass > 1e-12 * mass.sum()
-    w = mass[sel] / mass[sel].sum()
-    return float(x.sum()) * factor, Design(pts[sel].tolist(), w.tolist())
+    columns, values = lp.solve(np.array(rhs))
+    m = lp.points.size
+    x = np.zeros(2 * m)
+    x[columns] = values
+    return float(x.sum()) * factor, Design(lp.points[columns % m].tolist(),
+                                          (values / values.sum()).tolist())
 
 
 def restricted_weights(problem: DesignProblem, z: float,
@@ -403,8 +482,9 @@ def restricted_weights(problem: DesignProblem, z: float,
     by w_i proportional to |beta_i|, with minimum (sum_i |beta_i|)^2.
     :class:`SingularSupport` reports a point at 0, two points within
     1e-12 * max|s| of each other, a point that is not finite or a singular
-    G.  The checks run at every call; G is the unit state's for the
-    closed-form support and is built at each call for any other.
+    G.  The checks run at every call.  On the closed-form support beta is
+    one product with the inverse of G that the unit state of the degree
+    keeps; any other G is built and solved at each call.
     """
     s = tuple(map(float, support))
     if len(s) != problem.n:
@@ -417,12 +497,14 @@ def restricted_weights(problem: DesignProblem, z: float,
     ordered = sorted(s)
     if any(y - x <= tol for x, y in zip(ordered, ordered[1:])):
         raise SingularSupport("support points coincide within 1e-12 * max|s|")
-    big_g = _unit_rows(problem, s)
     rhs, factor = _unit_slope(problem, z)
-    try:
-        beta = np.linalg.solve(big_g, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSupport(str(exc)) from exc
+    if s == support_points(problem):
+        beta = _unit_state(problem.n).inverse @ rhs
+    else:
+        try:
+            beta = np.linalg.solve(_unit_rows(problem, s), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSupport(str(exc)) from exc
     total = float(np.sum(np.abs(beta)))
     root = total * factor
     return root * root, tuple(float(v) for v in np.abs(beta) / total)
@@ -461,8 +543,10 @@ def compare(problem: DesignProblem, z: float,
     is matched to the nearest closed-form point (the first on a tie, found
     by bisection) when it lies within half a grid spacing of it.
 
-    The closed-form routes read the matrix of their support from the unit
-    state of the degree and do only the work of z.
+    Every route reads a kept inverse where its matrix does not depend on z:
+    the closed-form routes the unit state's for the closed-form support, the
+    LP its last optimal basis's, negated for that basis's mirror.  A covered
+    target after the first does only the work of z, with no LAPACK call.
     """
     n, a = problem.n, problem.a
     try:

@@ -442,6 +442,22 @@ class TestUsageErrors:
                          "--z", "0.5", "--grid", "5")
         assert code == 0
 
+    def test_oracle_grid_beyond_memory(self, capsys, monkeypatch):
+        # A grid whose LP does not fit in memory is a usage error; the
+        # allocation is replaced by its MemoryError, so nothing is allocated.
+        from slopedesign import oracle
+
+        def no_memory(self, problem):
+            raise MemoryError("synthetic: cannot allocate the grid")
+
+        monkeypatch.setattr(oracle.GridSpec, "points", no_memory)
+        clear_caches()
+        code, out, err = run(capsys, "oracle", "--n", "4", "--a", "1",
+                             "--z", "1", "--grid", "1000000000")
+        assert code == 64
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: --grid ")
+
     @pytest.mark.parametrize("argv", [
         ["design", "--n", "4", "--a", "1", "--z", "nan"],
         ["design", "--n", "4", "--a", "1", "--z", "inf"],

@@ -399,6 +399,40 @@ class TestWarmStart:
             assert json.dumps(compare(problem, z, grid).as_dict()) == want
         assert calls[1:3] == [0, 0] and calls[3] >= 1, calls
 
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("n", [2, 7, 12, 30])
+    def test_warm_covered_target_makes_no_solve(self, n, a, monkeypatch):
+        # Once the closed-form basis and its mirror have each been taken,
+        # and the unit state built, a covered target on either is a product
+        # with a kept inverse in every route: no LAPACK solve, inverse or
+        # least-squares call.
+        problem, grid = DesignProblem(n, a), GridSpec()
+        intervals = admissible_region(problem).intervals
+        lo, hi = intervals[-2]
+        if math.isinf(lo):
+            lo = hi - a
+        last = intervals[-1][0]
+        clear_caches()
+        for z in (a, 0.5 * (lo + hi), a):
+            compare(problem, z, grid)
+        lp = oracle._grid_lp(problem, grid)
+        m = lp.points.size
+        calls = []
+        for name in ("solve", "inv", "lstsq"):
+            def counted(*args, _real=getattr(np.linalg, name), _name=name,
+                        **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        start = lp.optimal
+        report = compare(problem, 0.5 * (last + a), grid)
+        assert report.covered and lp.optimal == start
+        report = compare(problem, lo + 0.25 * (hi - lo), grid)
+        assert report.covered
+        assert lp.optimal == [(j + m) % (2 * m) for j in start]
+        assert compare(problem, a, grid).covered and lp.optimal == start
+        assert calls == []
+
     @pytest.mark.parametrize("a", [1e-100, 1e100])
     def test_scale_equivariant(self, a):
         unit = DesignProblem(3, 1.0)

@@ -79,14 +79,22 @@ def test_variance_matches_reference(n):
 @pytest.mark.parametrize("n", range(1, 31))
 def test_oracle_agrees_in_every_interval(n):
     # compare's own thresholds: the LP within 1e-2 of the closed form, the
-    # restricted weights within 1e-9.
-    targets = unit_targets(R.problem(n, 1.0))[1:]
+    # restricted weights within 1e-9.  Its three variances are also checked
+    # against the optimum to 1e-12: the grid holds the closed-form support,
+    # so the LP's optimum is the closed form's.
+    ref = R.problem(n, 1.0)
+    targets = unit_targets(ref)[1:]
     for a in SCALES:
         problem = DesignProblem(n, a)
         for u in targets:
             z = float(u * a)
             report = compare(problem, z)
             assert report.covered and report.agrees, (n, a, z)
+            total = R.mp.fsum(abs(v) for v in ref.derivs(R.mp.mpf(z) / a))
+            want = (total / a) ** 2
+            for got in (report.lp_variance, report.restricted_variance,
+                        report.closed_form_variance):
+                assert abs(got - want) <= 1e-12 * want, (n, a, z)
 
 
 @pytest.mark.parametrize("n", range(1, 31))
