@@ -17,10 +17,12 @@ there.
 Only the right-hand side c = f'(z) depends on the target, so each n x n
 matrix is inverted once and kept while it is in use: the fixed-support
 route and the variance read the inverse that the unit state of the degree
-keeps for the closed-form support, and the LP keeps the inverse of its
-last optimal basis, whose negation is that of the basis's mirror.  A
-covered target after the first is then a few matrix-vector products, with
-no LAPACK call.
+keeps for the closed-form support, and the LP keeps one factor of its
+basis, B and B^-1, from which every solve starts.  A basic column that a
+new target drives negative is swapped for its mirror by negating its
+column of B and its row of B^-1, and the simplex prices with the kept
+B^-1; only a basis a pivot reached is inverted again.  A covered target
+after the first is then a few matrix-vector products, with no LAPACK call.
 """
 
 from __future__ import annotations
@@ -119,16 +121,18 @@ _MAX_ITER = 50000
 _TOL = 1e-9
 
 
-def _choose_pivot(reduced: np.ndarray, column, rhs: np.ndarray,
-                  basis: list[int], stall: int, tol: float):
-    """One simplex step: (entering column j, leaving row, B^-1 a_j, whether
-    the step is degenerate), or None when no reduced cost is below -tol.
+def _choose_pivot(tableau: np.ndarray, basis: list[int], ncols: int,
+                  stall: int, tol: float) -> tuple[int, int, bool] | None:
+    """One simplex step on the tableau: (entering column, leaving row,
+    whether the step is degenerate), or None when no reduced cost of the
+    first ``ncols`` columns is below -tol.
 
-    ``column(j)`` gives B^-1 a_j and ``rhs`` is B^-1 b.  Entering rule: most
-    negative reduced cost while the objective moves, Bland's smallest-index
-    rule after 30 degenerate steps (anti-cycling).  Ratio test over the rows
-    whose pivot exceeds _PIVOT_TOL, ties broken by the smaller basic column.
+    Entering rule: most negative reduced cost while the objective moves,
+    Bland's smallest-index rule after 30 degenerate steps (anti-cycling).
+    Ratio test over the rows whose pivot exceeds _PIVOT_TOL, ties broken by
+    the smaller basic column.
     """
+    reduced = tableau[-1, :ncols]
     if stall < 30:
         col = int(np.argmin(reduced))
         if reduced[col] >= -tol:
@@ -138,9 +142,8 @@ def _choose_pivot(reduced: np.ndarray, column, rhs: np.ndarray,
         if candidates.size == 0:
             return None
         col = int(candidates[0])
-    d = column(col)
-    row, degenerate = _ratio_test(d, rhs, basis)
-    return col, row, d, degenerate
+    row, degenerate = _ratio_test(tableau[:-1, col], tableau[:-1, -1], basis)
+    return col, row, degenerate
 
 
 def _ratio_test(d: np.ndarray, rhs: np.ndarray,
@@ -174,11 +177,10 @@ def _simplex_loop(tableau: np.ndarray, basis: list[int], ncols: int,
     # The last tableau row holds the reduced costs, the last column B^-1 b.
     stall = 0
     for _ in range(max_iter):
-        step = _choose_pivot(tableau[-1, :ncols], lambda j: tableau[:-1, j],
-                             tableau[:-1, -1], basis, stall, tol)
+        step = _choose_pivot(tableau, basis, ncols, stall, tol)
         if step is None:
             return
-        col, row, _, degenerate = step
+        col, row, degenerate = step
         stall = stall + 1 if degenerate else 0
         _pivot(tableau, basis, row, col)
     raise NumericalFailure("simplex iteration cap exceeded")
@@ -237,9 +239,10 @@ def _factor(columns, basis: list[int]) -> tuple:
     # the basis and not on the pivots that led there.  The order sorts the
     # columns by their magnitudes, lexicographically from the first row,
     # then by index, so that a column and its negation take the same place:
-    # LU with partial pivoting rounds alike in either sign, so the basis of
-    # the negated columns has the factor (-B, -B^-1) exactly.  columns(index)
-    # gives the columns of the constraint matrix at the indices.
+    # LU with partial pivoting rounds alike in either sign, so negating some
+    # columns of the basis negates those columns of B and rows of B^-1
+    # exactly.  columns(index) gives the columns of the constraint matrix at
+    # the indices.
     basis = np.asarray(basis)
     unordered = columns(basis)
     by_size = np.lexsort((basis, *np.abs(unordered)[::-1]))
@@ -315,26 +318,24 @@ class _GridLP:
     is stored, with its transpose GT, whose rows are the entering columns
     of a pivot: column j >= m of the LP is the mirror -G[:, j - m].
 
-    Only the right-hand side depends on the target, and the costs never
-    change, so every solve restarts a revised primal simplex from a basis
-    (Chvatal, Linear Programming, 1983, ch. 7-10): basic columns that went
-    negative are swapped for their mirrors, which leaves it primal feasible,
-    and y solving B^T y = 1 prices both halves with one product v = y.G, at
-    reduced costs 1 - v and 1 + v.  Pivots run only on a negative one; each
-    takes B^-1 (+/-g_j) as the entering column and updates B^-1 by rank one.
-    When pricing with the updated inverse finds none, the basis is priced
-    again from a fresh solve, so a drifted inverse cannot end the solve.
-    The first start is the closed-form support, which the grid holds exactly.
-
-    ``optimal`` is the basis the last solve priced optimal, None before the
-    first, and ``factor`` its columns in the order of their grid points,
-    their matrix B and B^-1, inverted once per basis: every x on it is a
-    product with B^-1, refined once.  Reduced costs do not depend on the
-    right-hand side, so while that basis is still the start and stays primal
-    feasible for a new target, it is still optimal and needs no pricing; its
-    global mirror, whose reduced costs 1 - v and 1 + v only swap, is optimal
-    as well, and its factor is (-B, -B^-1), exactly what inverting it would
-    give.
+    ``factor`` is that basis, as _factor gives it: its columns in the order
+    of their grid points, their matrix B and B^-1; first the closed-form
+    support, which the grid holds exactly.  ``priced`` says whether pricing
+    found it optimal.  Only the right-hand side depends on the target, and
+    the costs never change, so every solve takes x = B^-1 rhs, refined
+    once, and swaps each basic column with x < 0 for its mirror, which
+    leaves the basis primal feasible.  The swap negates that column of B
+    and that row of B^-1, exactly what inverting the swapped basis gives,
+    and keeps the order, which sorts by magnitudes.  Reduced costs do not
+    depend on the right-hand side, and those of the global mirror, 1 - v
+    and 1 + v, only swap, so a priced basis that swapped no column or every
+    column is still optimal.  Any other basis restarts a revised primal
+    simplex there (Chvatal, Linear Programming, 1983, ch. 7-10): y = 1.B^-1
+    prices both halves with one product v = y.G, at reduced costs 1 - v and
+    1 + v, and each pivot takes B^-1 (+/-g_j) as the entering column and
+    updates B^-1 by rank one.  When the updated inverse prices out, the
+    basis it ends on is factored afresh and priced again from that factor,
+    so a drifted inverse cannot end the solve.
     """
 
     def __init__(self, problem: DesignProblem, grid: GridSpec):
@@ -342,9 +343,9 @@ class _GridLP:
         self.points = np.unique(np.concatenate([grid.points(problem), support]))
         self.G = np.array(unit_basis.values(problem.n, self.points / problem.a))
         self.GT = self.G.T.copy()
-        self.basis: list[int] = np.searchsorted(self.points, support).tolist()
-        self.optimal: list[int] | None = None
-        self.factor = None
+        self.factor = _factor(self.columns,
+                              np.searchsorted(self.points, support))
+        self.priced = False
 
     def columns(self, index) -> np.ndarray:
         """The LP columns at ``index``: g(u_j) for j < m, else -g(u_{j-m})."""
@@ -357,84 +358,60 @@ class _GridLP:
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The optimal x over [G, -G]: the columns of the final basis, in
         the order of their grid points, and their values, with every other
-        entry 0; at a degenerate optimum, only the positive columns.
-
-        x is the kept inverse of the final basis times rhs, refined once.
-        When the start is the last optimal basis, that x is returned as it
-        is when every entry exceeds 1e-12 of their sum, and when every entry
-        is below -1e-12 of the sum of their magnitudes the mirror basis is
-        taken instead, with no pricing in either case.  Any other case
-        restarts the primal simplex and inverts the basis it ends on.
-        """
-        if self.basis == self.optimal:
-            x = _solution(self.factor, rhs)
-            if (x > 1e-12 * x.sum()).all():
-                return self.factor[0], x
-            if (x < -1e-12 * np.abs(x).sum()).all():
-                m = self.points.size
-                order, matrix, inverse = self.factor
-                self.basis = self.optimal = [(j + m) % (2 * m)
-                                             for j in self.optimal]
-                self.factor = (order + m) % (2 * m), -matrix, -inverse
-                return self._positive(rhs)
-        self.basis = self.optimal = self._restart(rhs)
-        self.factor = _factor(self.columns, self.basis)
-        return self._positive(rhs)
-
-    def _positive(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # x on the final basis.  The optimal bases of a degenerate optimum
-        # differ in columns at 0; solving on the positive columns makes x the
-        # same for all of them.
-        x = np.maximum(_solution(self.factor, rhs), 0.0)
-        positive = x > 1e-12 * x.sum()
+        entry 0; at a degenerate optimum, only the positive columns.  x is
+        the kept inverse of the final basis times rhs, refined once."""
+        m = self.points.size
+        order, matrix, inverse = self.factor
+        x = _solution(self.factor, rhs)
+        swapped = x < 0
+        if swapped.any():
+            sign = np.where(swapped, -1.0, 1.0)
+            self.factor = (np.where(swapped, (order + m) % (2 * m), order),
+                           matrix * sign, sign[:, None] * inverse)
+            x = np.abs(x)
+        if not (self.priced and (swapped.all() or not swapped.any())):
+            x = self._restart(x, rhs)
+        # The optimal bases of a degenerate optimum differ in columns at 0;
+        # solving on the positive columns makes x the same for all of them.
         order, matrix, _ = self.factor
+        np.maximum(x, 0.0, out=x)
+        positive = x > 1e-12 * x.sum()
         if positive.all():
             return order, x
         return order[positive], np.linalg.lstsq(matrix[:, positive], rhs,
                                                 rcond=None)[0]
 
-    def _prices(self, basis: list[int]) -> np.ndarray:
-        # v = y.G with B^T y = 1, from a fresh solve.
-        y = np.linalg.solve(self.columns(basis).T, np.ones(len(basis)))
-        return y @ self.G
-
-    def _restart(self, rhs: np.ndarray) -> list[int]:
+    def _restart(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        # x on the optimal basis the primal simplex reaches from the kept
+        # factor, on which x is primal feasible; that basis is kept.
         G, GT = self.G, self.GT
         m = self.points.size
-        basis = np.array(self.basis)
-        x_b = np.linalg.solve(self.columns(basis), rhs)
-        neg = x_b < 0
-        basis[neg] = (basis[neg] + m) % (2 * m)
-        basis = basis.tolist()
-        v = self._prices(basis)
-        if 1.0 - np.abs(v).max() >= -_TOL:
-            return basis
-        inverse = np.linalg.inv(self.columns(basis))
-        x_b = np.abs(x_b)
-        stall = 0
-        for _ in range(_MAX_ITER):
-            col = _entering(v, stall)
+        stall = pivots = 0
+        while True:
+            order, _, inverse = self.factor
+            col = _entering(inverse.sum(axis=0) @ G, stall)
             if col is None:
-                # Priced out by the updated inverse; price again afresh.
-                v = self._prices(basis)
-                if 1.0 - np.abs(v).max() >= -_TOL:
-                    return basis
-                inverse = np.linalg.inv(self.columns(basis))
-                x_b = inverse @ rhs
-                continue
-            d = inverse @ GT[col % m]
-            if col >= m:
-                np.negative(d, out=d)
-            row, degenerate = _ratio_test(d, x_b, basis)
-            stall = stall + 1 if degenerate else 0
-            basis[row] = col
-            inverse[row] /= d[row]
-            x_b[row] /= d[row]
-            d[row] = 0.0
-            inverse -= d[:, None] * inverse[row]
-            x_b -= d * x_b[row]
-            v = inverse.sum(axis=0) @ G
-        raise NumericalFailure("simplex iteration cap exceeded")
+                self.priced = True
+                return x
+            basis, inverse = order.tolist(), inverse.copy()
+            while col is not None:
+                if pivots == _MAX_ITER:
+                    raise NumericalFailure("simplex iteration cap exceeded")
+                pivots += 1
+                d = inverse @ GT[col % m]
+                if col >= m:
+                    np.negative(d, out=d)
+                row, degenerate = _ratio_test(d, x, basis)
+                stall = stall + 1 if degenerate else 0
+                basis[row] = col
+                inverse[row] /= d[row]
+                x[row] /= d[row]
+                d[row] = 0.0
+                inverse -= d[:, None] * inverse[row]
+                x -= d * x[row]
+                col = _entering(inverse.sum(axis=0) @ G, stall)
+            self.factor = _factor(self.columns, basis)
+            x = _solution(self.factor, rhs)
 
 
 _grid_lp = lru_cache(maxsize=1)(_GridLP)  # (problem, grid) -> its LP
@@ -449,14 +426,15 @@ def lp_c_optimal(problem: DesignProblem, z: float,
     points; the optimal variance over that support set is h^2.  The LP is
     posed in the unit basis of :mod:`slopedesign.basis`, whose entries are at
     most 1 whatever a is.  The LP of the last problem and grid is kept as
-    G alone, the mirror columns -G staying implicit; its first target starts
-    from the closed-form support, a later one from the last optimal basis,
-    which is kept without pricing while it or its mirror stays primal
-    feasible, and otherwise a revised primal simplex restarts there with no
-    phase 1.  The solve gives the columns of x that are positive, each
-    +g(u_j) or -g(u_j) of one grid point, in the order of those points, and
-    their values: the design puts on each such point its value over their
-    sum.  h is summed over all 2m entries of x, as numpy sums the x of
+    G alone, the mirror columns -G staying implicit, with one factor of the
+    basis its next solve starts from: first the closed-form support, then
+    the last optimal basis.  Each solve swaps the basic columns that went
+    negative for their mirrors; a priced basis of which it swapped none or
+    all is still optimal, and any other basis restarts a revised primal
+    simplex there, priced from the kept inverse, with no phase 1.  The
+    solve gives the columns of x that are positive, each +g(u_j) or -g(u_j)
+    of one grid point, in the order of those points, and their values: the
+    design puts on each such point its value over their sum.  h is summed over all 2m entries of x, as numpy sums the x of
     simplex_minimize, so that the two give the same h on the same basis bit
     for bit; a sum of the values alone differs in the last bit on about half
     of the bases.  The design is built from Python floats.
@@ -538,15 +516,18 @@ def compare(problem: DesignProblem, z: float,
     Inside the region the LP must match the closed form within 1e-2 relative
     (grid discretization) and the restricted route within 1e-9; outside, the
     report exposes the LP-vs-restricted gap against ``margin_threshold``, a
-    grid-resolution allowance max(1e-6, 3 * lp_variance * (n * spacing / a)^2),
-    written with spacing / a so that no power of a is formed.  Each LP point
-    is matched to the nearest closed-form point (the first on a tie, found
-    by bisection) when it lies within half a grid spacing of it.
+    grid-resolution allowance relative to the LP variance,
+    lp_variance * max(1e-6, 3 * (n * spacing / a)^2), so that it scales as
+    the variances do with a; it is written with spacing / a so that no
+    power of a is formed.  Each LP point is matched to the nearest
+    closed-form point (the first on a tie, found by bisection) when it lies
+    within half a grid spacing of it.
 
     Every route reads a kept inverse where its matrix does not depend on z:
     the closed-form routes the unit state's for the closed-form support, the
-    LP its last optimal basis's, negated for that basis's mirror.  A covered
-    target after the first does only the work of z, with no LAPACK call.
+    LP that of its kept basis.  A covered target calls no LAPACK solve: a
+    cold one inverts the unit state's matrix and the LP's start, and a
+    later one does only the work of z.
     """
     n, a = problem.n, problem.a
     try:
@@ -558,7 +539,7 @@ def compare(problem: DesignProblem, z: float,
     restricted_var, _ = restricted_weights(problem, z, support_points(problem))
 
     spacing = a * grid.spacing_fraction
-    margin_threshold = max(1e-6,
+    margin_threshold = max(1e-6 * lp_var,
                            3.0 * lp_var * (n * grid.spacing_fraction) ** 2)
 
     if closed is None:

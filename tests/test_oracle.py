@@ -257,6 +257,24 @@ class TestCompare:
             rep = compare(problem, z)
             assert rep.agrees or not rep.covered
 
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    def test_margin_threshold_scales_with_the_variance(self, n):
+        # margin_threshold / lp_variance does not depend on a: at n = 4 and
+        # the first-gap midpoint an absolute floor of 1e-6 read 1.2e-5 times
+        # the LP variance at a = 1 but 4.8e8 times it at a = 1e8.
+        ratios = {}
+        for a in (1e-8, 1.0, 1e8):
+            problem = DesignProblem(n, a)
+            iv = admissible_region(problem).intervals
+            zs = [a] + ([0.5 * (iv[0][1] + iv[1][0])] if n > 1 else [])
+            for k, z in enumerate(zs):
+                rep = compare(problem, z)
+                ratios.setdefault(k, []).append(
+                    rep.margin_threshold / rep.lp_variance)
+        for k, (small, unit, large) in ratios.items():
+            assert small == pytest.approx(unit, rel=1e-12), (k, small, unit)
+            assert large == pytest.approx(unit, rel=1e-12), (k, large, unit)
+
     def test_nearest_is_the_first_minimum_of_the_distances(self):
         # The bisection of compare against the n distances per LP point it
         # replaced: the same index and distance, ties included.
@@ -331,11 +349,12 @@ class TestWarmStart:
         warm = []
         for z in zs:
             h, d = lp_c_optimal(problem, z, grid)
-            warm.append((h, d, sorted(oracle._grid_lp(problem, grid).basis)))
+            warm.append((h, d,
+                         sorted(oracle._grid_lp(problem, grid).factor[0])))
         for z, (h, d, basis) in zip(zs, warm):
             clear_caches()
             h_cold, d_cold = lp_c_optimal(problem, z, grid)
-            if sorted(oracle._grid_lp(problem, grid).basis) == basis:
+            if sorted(oracle._grid_lp(problem, grid).factor[0]) == basis:
                 assert (h, d) == (h_cold, d_cold)
             else:
                 assert h ** 2 == pytest.approx(h_cold ** 2, rel=1e-9)
@@ -385,19 +404,30 @@ class TestWarmStart:
         for z in zs:
             clear_caches()
             cold.append(json.dumps(compare(problem, z, grid).as_dict()))
-        prices = oracle._GridLP._prices
+        restart = oracle._GridLP._restart
         calls = []
 
-        def counted(self, basis):
+        def counted(self, x, rhs):
             calls[-1] += 1
-            return prices(self, basis)
+            return restart(self, x, rhs)
 
-        monkeypatch.setattr(oracle._GridLP, "_prices", counted)
+        monkeypatch.setattr(oracle._GridLP, "_restart", counted)
         clear_caches()
         for z, want in zip(zs, cold):
             calls.append(0)
             assert json.dumps(compare(problem, z, grid).as_dict()) == want
         assert calls[1:3] == [0, 0] and calls[3] >= 1, calls
+
+    @staticmethod
+    def _count_lapack(monkeypatch):
+        calls = []
+        for name in ("solve", "inv", "lstsq"):
+            def counted(*args, _real=getattr(np.linalg, name), _name=name,
+                        **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
 
     @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
     @pytest.mark.parametrize("n", [2, 7, 12, 30])
@@ -417,21 +447,43 @@ class TestWarmStart:
             compare(problem, z, grid)
         lp = oracle._grid_lp(problem, grid)
         m = lp.points.size
-        calls = []
-        for name in ("solve", "inv", "lstsq"):
-            def counted(*args, _real=getattr(np.linalg, name), _name=name,
-                        **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
-        start = lp.optimal
+        calls = self._count_lapack(monkeypatch)
+        start = lp.factor[0].tolist()
         report = compare(problem, 0.5 * (last + a), grid)
-        assert report.covered and lp.optimal == start
+        assert report.covered and lp.factor[0].tolist() == start
         report = compare(problem, lo + 0.25 * (hi - lo), grid)
         assert report.covered
-        assert lp.optimal == [(j + m) % (2 * m) for j in start]
-        assert compare(problem, a, grid).covered and lp.optimal == start
+        assert lp.factor[0].tolist() == [(j + m) % (2 * m) for j in start]
+        assert (compare(problem, a, grid).covered
+                and lp.factor[0].tolist() == start)
         assert calls == []
+
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 30])
+    def test_cold_covered_target_inverts_twice(self, n, a, monkeypatch):
+        # One inverse for the unit state of the degree, one for the LP's
+        # start on the closed-form support; the LP's sign swap and pricing
+        # read that start's inverse, and nothing is solved.
+        problem = DesignProblem(n, a)
+        clear_caches()
+        calls = self._count_lapack(monkeypatch)
+        assert compare(problem, a).covered
+        assert calls == ["inv", "inv"]
+
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("n", [2, 7, 12, 30])
+    def test_gap_target_after_covered_target_makes_no_solve(self, n, a,
+                                                            monkeypatch):
+        # The restart prices from the kept inverse and inverts only the
+        # basis its pivots end on.
+        problem = DesignProblem(n, a)
+        iv = admissible_region(problem).intervals
+        gap = 0.5 * (iv[0][1] + iv[1][0])
+        clear_caches()
+        compare(problem, a)
+        calls = self._count_lapack(monkeypatch)
+        assert not compare(problem, gap).covered
+        assert "solve" not in calls and "inv" in calls
 
     @pytest.mark.parametrize("a", [1e-100, 1e100])
     def test_scale_equivariant(self, a):
@@ -547,7 +599,7 @@ class TestCrashStart:
                 h, _ = lp_c_optimal(problem, z, grid)
                 lp = oracle._grid_lp(problem, grid)
                 h_ref, columns = _two_phase_reference(lp, problem, z)
-                if sorted(lp.basis) == columns:
+                if sorted(lp.factor[0]) == columns:
                     assert h == h_ref, (n, a, z)
                 else:
                     assert h ** 2 == pytest.approx(h_ref ** 2, rel=1e-9)
@@ -561,17 +613,19 @@ class TestCrashStart:
                 clear_caches()
                 h, _ = lp_c_optimal(problem, z, grid)
                 lp = oracle._grid_lp(problem, grid)
-                best = sorted(lp.basis)
+                best = sorted(lp.factor[0])
                 # n nonzero grid points off the support, spread over the
                 # grid, every second one entering as its mirror -g(u).
                 half = lp.points.size
                 support = np.searchsorted(lp.points, support_points(problem))
                 off = np.setdiff1d(np.arange(1, half), support)
                 start = off[np.linspace(0, off.size - 1, n).astype(int)]
-                lp.basis = [int(j) + half * (i % 2)
-                            for i, j in enumerate(start)]
+                lp.factor = oracle._factor(
+                    lp.columns,
+                    [int(j) + half * (i % 2) for i, j in enumerate(start)])
+                lp.priced = False
                 h_wrong, _ = lp_c_optimal(problem, z, grid)
-                if sorted(lp.basis) == best:
+                if sorted(lp.factor[0]) == best:
                     assert h_wrong == h, (n, a, z)
                 else:
                     assert h_wrong ** 2 == pytest.approx(h ** 2, rel=1e-9)
@@ -591,7 +645,8 @@ class TestCrashStart:
         y = np.linalg.solve(matrix[:, start].T, np.ones(2))
         prices = y @ matrix[:, :lp.points.size]
         assert prices.max() <= 1.0 + 1e-12 and prices.min() < -1.0
-        lp.basis = start
+        lp.factor = oracle._factor(lp.columns, start)
+        lp.priced = False
         assert lp_c_optimal(problem, 1.0, grid)[0] == pytest.approx(h,
                                                                    rel=1e-12)
 
@@ -613,7 +668,7 @@ class TestRevisedRestart:
             for z in _targets(problem):
                 lp_c_optimal(problem, z, grid)
                 lp = oracle._grid_lp(problem, grid)
-                basic = np.hstack([lp.G, -lp.G])[:, lp.basis]
+                basic = np.hstack([lp.G, -lp.G])[:, lp.factor[0]]
                 y = np.linalg.solve(basic.T, np.ones(n))
                 assert np.abs(y @ lp.G).max() <= 1.0 + 1e-9, (n, a, z)
 
@@ -627,7 +682,7 @@ class TestRevisedRestart:
         clear_caches()
         lp_c_optimal(problem, zs[-1], grid)
         lp = oracle._grid_lp(problem, grid)
-        start = sorted(lp.basis)
+        start = sorted(lp.factor[0])
         gap = zs[-2]  # the midpoint of the last gap
         assert gap not in admissible_region(problem)
         tracemalloc.start()
@@ -636,8 +691,25 @@ class TestRevisedRestart:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sorted(lp.basis) != start
+        assert sorted(lp.factor[0]) != start
         assert peak < n * lp.points.size * 8
+
+    def test_sign_flip_of_columns_negates_rows_of_the_inverse(self):
+        # The mirror swap negates columns of B and rows of B^-1 in place of
+        # inverting again; that is what inv gives bit for bit, on random
+        # matrices and on unit-basis matrices of grid points.
+        rng = np.random.default_rng(20)
+        for n in range(1, 41):
+            for k in range(6):
+                if k % 2:
+                    u = np.sort(rng.uniform(0.0, 1.0, n))
+                    matrix = np.array(basis.values(n, u))
+                else:
+                    matrix = rng.normal(size=(n, n))
+                d = rng.choice([-1.0, 1.0], size=n)
+                flipped = np.linalg.inv(matrix * d)
+                assert np.array_equal(flipped,
+                                      d[:, None] * np.linalg.inv(matrix)), n
 
     def test_iteration_cap_raises_on_a_gap_target(self, monkeypatch):
         problem = DesignProblem(4, 1.0)
