@@ -16,9 +16,8 @@ __version__ = "0.1.0"
 # The oracle module needs numpy, so its names are imported on first access
 # (PEP 562); the closed form and the certificate run without numpy.
 _ORACLE_NAMES = frozenset({
-    "GridSpec", "Infeasible", "NumericalFailure", "OracleReport",
-    "SingularSupport", "compare", "lp_c_optimal", "restricted_weights",
-    "simplex_minimize",
+    "GridSpec", "NumericalFailure", "OracleReport", "SingularSupport",
+    "compare", "lp_c_optimal", "restricted_weights",
 })
 
 
@@ -33,11 +32,10 @@ def __getattr__(name):
 
 __all__ = [
     "AdmissibleRegion", "BoundaryPoint", "Degenerate", "Design",
-    "DesignProblem", "ElfvingCertificate", "GridSpec", "Infeasible",
-    "NotCovered", "NumericalFailure", "OracleReport", "SingularSupport",
-    "ZOutsideRegion", "admissible_region", "basis_derivatives", "certify",
-    "compare", "extremal_value", "lp_c_optimal", "optimal_design",
-    "restricted_weights", "simplex_minimize", "support_points", "variance",
-    "weights_at",
+    "DesignProblem", "ElfvingCertificate", "GridSpec", "NotCovered",
+    "NumericalFailure", "OracleReport", "SingularSupport", "ZOutsideRegion",
+    "admissible_region", "basis_derivatives", "certify", "compare",
+    "extremal_value", "lp_c_optimal", "optimal_design", "restricted_weights",
+    "support_points", "variance", "weights_at",
     "__version__",
 ]

@@ -14,6 +14,8 @@ routes must agree; outside, the LP beats the fixed support by a measurable
 margin, which is exactly the evidence that the closed form does not extend
 there.
 
+The grid LP is the one LP solver here: a revised primal simplex on the grid
+matrix G alone, which starts from a kept basis and so never runs phase 1.
 Only the right-hand side c = f'(z) depends on the target, so each n x n
 matrix is inverted once and kept while it is in use: the fixed-support
 route and the variance read the inverse that the unit state of the degree
@@ -23,6 +25,8 @@ new target drives negative is swapped for its mirror by negating its
 column of B and its row of B^-1, and the simplex prices with the kept
 B^-1; only a basis a pivot reached is inverted again.  A covered target
 after the first is then a few matrix-vector products, with no LAPACK call.
+h is the correctly rounded sum of the basic values, so it depends only on
+the basis the LP ends on, not on how the LP got there.
 """
 
 from __future__ import annotations
@@ -39,10 +43,6 @@ from ._record import Record
 from .designs import (BoundaryPoint, Design, DesignProblem, NotCovered,
                       _unit_state, optimal_design, support_points)
 from .elfving import _unit_rows, _unit_slope, variance
-
-
-class Infeasible(Exception):
-    """The equality constraints admit no nonnegative solution."""
 
 
 class NumericalFailure(RuntimeError):
@@ -114,36 +114,11 @@ class OracleReport(Record):
         }
 
 
-# --- primal simplex; the dense tableau is simplex_minimize's only ------------
+# --- revised primal simplex of the grid LP -----------------------------------
 
 _PIVOT_TOL = 1e-11
 _MAX_ITER = 50000
 _TOL = 1e-9
-
-
-def _choose_pivot(tableau: np.ndarray, basis: list[int], ncols: int,
-                  stall: int, tol: float) -> tuple[int, int, bool] | None:
-    """One simplex step on the tableau: (entering column, leaving row,
-    whether the step is degenerate), or None when no reduced cost of the
-    first ``ncols`` columns is below -tol.
-
-    Entering rule: most negative reduced cost while the objective moves,
-    Bland's smallest-index rule after 30 degenerate steps (anti-cycling).
-    Ratio test over the rows whose pivot exceeds _PIVOT_TOL, ties broken by
-    the smaller basic column.
-    """
-    reduced = tableau[-1, :ncols]
-    if stall < 30:
-        col = int(np.argmin(reduced))
-        if reduced[col] >= -tol:
-            return None
-    else:
-        candidates = np.nonzero(reduced < -tol)[0]
-        if candidates.size == 0:
-            return None
-        col = int(candidates[0])
-    row, degenerate = _ratio_test(tableau[:-1, col], tableau[:-1, -1], basis)
-    return col, row, degenerate
 
 
 def _ratio_test(d: np.ndarray, rhs: np.ndarray,
@@ -160,77 +135,6 @@ def _ratio_test(d: np.ndarray, rhs: np.ndarray,
     if best_row < 0:
         raise NumericalFailure("unbounded pivot direction")
     return best_row, best_key[0] <= 0.0
-
-
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    other = tableau[:, col].copy()
-    other[row] = 0.0
-    tableau -= np.outer(other, tableau[row])
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    basis[row] = col
-
-
-def _simplex_loop(tableau: np.ndarray, basis: list[int], ncols: int,
-                  max_iter: int, tol: float) -> None:
-    # The last tableau row holds the reduced costs, the last column B^-1 b.
-    stall = 0
-    for _ in range(max_iter):
-        step = _choose_pivot(tableau, basis, ncols, stall, tol)
-        if step is None:
-            return
-        col, row, degenerate = step
-        stall = stall + 1 if degenerate else 0
-        _pivot(tableau, basis, row, col)
-    raise NumericalFailure("simplex iteration cap exceeded")
-
-
-def _two_phase(cost, A, b, max_iter: int,
-               tol: float) -> tuple[list[int], list[int]]:
-    """Optimal basis of min cost.x, A x = b, x >= 0, from the artificial
-    basis, and the rows of A it spans (redundant rows are dropped)."""
-    m, k = A.shape
-    sign = np.where(b < 0, -1.0, 1.0)
-    tableau = np.zeros((m + 1, k + m + 1))
-    tableau[:m, :k] = A * sign[:, None]
-    tableau[:m, k:k + m] = np.eye(m)
-    tableau[:m, -1] = b * sign
-    basis = list(range(k, k + m))
-    # Phase-1 reduced costs for the artificial basis.
-    tableau[m, :k] = -tableau[:m, :k].sum(axis=0)
-    tableau[m, -1] = -tableau[:m, -1].sum()
-    _simplex_loop(tableau, basis, k + m, max_iter, tol)
-    if -tableau[m, -1] > 1e-7 * max(1.0, abs(b).max()):
-        raise Infeasible("right-hand side is outside the feasible cone")
-
-    # Drive artificials (at value 0) out of the basis; drop redundant rows.
-    keep = []
-    for i in range(m):
-        if basis[i] < k:
-            keep.append(i)
-            continue
-        row = tableau[i, :k]
-        nz = np.nonzero(np.abs(row) > _PIVOT_TOL)[0]
-        if nz.size:
-            _pivot(tableau, basis, i, int(nz[0]))
-            keep.append(i)
-    if len(keep) < m:
-        tableau = tableau[keep + [m]]
-        basis = [basis[i] for i in keep]
-    # The artificial columns stay in the tableau but can no longer enter.
-    _phase2(tableau, basis, cost, max_iter, tol)
-    return basis, keep
-
-
-def _phase2(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
-            max_iter: int, tol: float) -> None:
-    # The tableau holds B^-1 A and B^-1 b for a primal-feasible basis B.
-    rows = tableau[:-1]
-    k = cost.size
-    tableau[-1, :k] = cost - cost[basis] @ rows[:, :k]
-    tableau[-1, -1] = -float(cost[basis] @ rows[:, -1])
-    _simplex_loop(tableau, basis, k, max_iter, tol)
 
 
 def _factor(columns, basis: list[int]) -> tuple:
@@ -266,38 +170,12 @@ def _solution(factor: tuple, b: np.ndarray) -> np.ndarray:
     return x + inverse @ (b - matrix @ x)
 
 
-def _basic_solution(columns, b: np.ndarray, basis: list[int],
-                    size: int) -> np.ndarray:
-    factor = _factor(columns, basis)
-    x = np.zeros(size)
-    x[factor[0]] = _solution(factor, b)
-    np.maximum(x, 0.0, out=x)
-    return x
-
-
-def simplex_minimize(cost, A, b, max_iter: int = _MAX_ITER,
-                     tol: float = _TOL) -> tuple[np.ndarray, float]:
-    """Solve min cost.x subject to A x = b, x >= 0 (two-phase primal).
-
-    Deterministic dense tableau; x is the inverse of the optimal basis, its
-    columns in a canonical order, times b, refined once.  Raises
-    :class:`Infeasible` when the phase-1 objective stays positive and
-    :class:`NumericalFailure` on the iteration cap.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    cost = np.asarray(cost, dtype=float)
-    basis, rows = _two_phase(cost, A, b, max_iter, tol)
-    x = _basic_solution(lambda order: A[np.ix_(rows, order)], b[rows], basis,
-                        A.shape[1])
-    return x, float(cost @ x)
-
-
 def _entering(v: np.ndarray, stall: int) -> int | None:
-    # The entering column of [G, -G] at reduced costs 1 - v and 1 + v, as
-    # _choose_pivot picks it from their concatenation: the most negative,
-    # the +g one on a tie, or after 30 degenerate steps the first below
-    # -_TOL (Bland); None when none is below -_TOL.
+    # The entering column of [G, -G] at reduced costs 1 - v and 1 + v, taken
+    # over their concatenation.  Dantzig's rule while the objective moves:
+    # the most negative reduced cost, the first on a tie, so +g before -g.
+    # After 30 degenerate steps in a row, Bland's rule against cycling: the
+    # first column whose reduced cost is below -_TOL.  None when none is.
     plus, minus = 1.0 - v, 1.0 + v
     if stall < 30:
         j, k = plus.argmin(), minus.argmin()
@@ -433,22 +311,21 @@ def lp_c_optimal(problem: DesignProblem, z: float,
     all is still optimal, and any other basis restarts a revised primal
     simplex there, priced from the kept inverse, with no phase 1.  The
     solve gives the columns of x that are positive, each +g(u_j) or -g(u_j)
-    of one grid point, in the order of those points, and their values: the
-    design puts on each such point its value over their sum.  h is summed over all 2m entries of x, as numpy sums the x of
-    simplex_minimize, so that the two give the same h on the same basis bit
-    for bit; a sum of the values alone differs in the last bit on about half
-    of the bases.  The design is built from Python floats.
+    of one grid point, in the order of those points, and their values.  h
+    is their sum, taken with math.fsum: it is correctly rounded, so h does
+    not depend on the order of the values or on the zeros of the columns
+    off the basis, and any solver that ends on the same x gives the same h
+    bit for bit.  The design puts on each such point its value over that
+    sum; it is built from Python floats.
     """
     if grid.m < problem.n + 1:
         raise ValueError("grid must have at least n+1 points")
     rhs, factor = _unit_slope(problem, z)
     lp = _grid_lp(problem, grid)
     columns, values = lp.solve(np.array(rhs))
-    m = lp.points.size
-    x = np.zeros(2 * m)
-    x[columns] = values
-    return float(x.sum()) * factor, Design(lp.points[columns % m].tolist(),
-                                          (values / values.sum()).tolist())
+    total = math.fsum(values.tolist())
+    return total * factor, Design(lp.points[columns % lp.points.size].tolist(),
+                                  (values / total).tolist())
 
 
 def restricted_weights(problem: DesignProblem, z: float,
@@ -519,7 +396,10 @@ def compare(problem: DesignProblem, z: float,
     grid-resolution allowance relative to the LP variance,
     lp_variance * max(1e-6, 3 * (n * spacing / a)^2), so that it scales as
     the variances do with a; it is written with spacing / a so that no
-    power of a is formed.  Each LP point is matched to the nearest
+    power of a is formed, and as one product with lp_variance, so that no
+    intermediate overflows: on a grid of more than 2n points (the default
+    grid up to n = 1000) the factor is below 1, and the threshold is finite
+    whenever lp_variance is.  Each LP point is matched to the nearest
     closed-form point (the first on a tie, found by bisection) when it lies
     within half a grid spacing of it.
 
@@ -539,8 +419,8 @@ def compare(problem: DesignProblem, z: float,
     restricted_var, _ = restricted_weights(problem, z, support_points(problem))
 
     spacing = a * grid.spacing_fraction
-    margin_threshold = max(1e-6 * lp_var,
-                           3.0 * lp_var * (n * grid.spacing_fraction) ** 2)
+    margin_threshold = lp_var * max(1e-6,
+                                    3.0 * (n * grid.spacing_fraction) ** 2)
 
     if closed is None:
         return OracleReport(False, None, lp_var, restricted_var, lp_design,

@@ -82,6 +82,25 @@ assert code == 70, code
     assert "synthetic failure" in proc.stderr
 
 
+def test_package_keeps_one_lp_solver():
+    # The dense-tableau two-phase simplex is the tests' reference
+    # (tests/lp_reference.py); the package solves only the grid LP.
+    proc = run_python("""
+import slopedesign
+import slopedesign.oracle as oracle
+for name in ("simplex_minimize", "Infeasible"):
+    assert not hasattr(slopedesign, name), name
+    assert name not in slopedesign.__all__, name
+for name in ("_two_phase", "_simplex_loop"):
+    assert not hasattr(oracle, name), name
+ns = {}
+exec("from slopedesign import *", ns)
+missing = set(slopedesign.__all__) - set(ns)
+assert not missing, missing
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_polynomial_module_holds_only_degenerate():
     # The benchmark's span installer imports slopedesign.polynomial by name.
     import slopedesign
