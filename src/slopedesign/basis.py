@@ -7,7 +7,8 @@ c = h sum_i w_i v_i f(x_i) are invariant under an invertible change of basis
 (Pukelsheim, Optimal Design of Experiments, 1993, ch. 2-3).  values and
 slope take a float or a numpy array for u and return a list of the n
 entries; series evaluates a series sum_k y_k g_k(u), and local_extrema finds
-its critical points.  All use arithmetic only (no numpy import).
+its critical points by bracketed_newton, the root finder that the region's
+roots use too.  All use arithmetic only (no numpy import).
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ def _chebyshev_derivative(c) -> list[float]:
     return d[:max(m, 1)]
 
 
-_MAX_STEPS = 100
-_STEP_TOL = 1e-10
-
-
 def local_extrema(y, edges, starts):
     """The critical points of S(u) = sum_k y_k g_k(u), one in each bracket
     (edges[i], edges[i + 1]), refined from starts[i] inside it; None when
@@ -84,11 +81,9 @@ def local_extrema(y, edges, starts):
     the critical points of S.  With t = 2u - 1 and Q(t) = sum_k y_k
     T_{k-1}(t), S = u Q, so S' = Q + (t + 1) dQ/dt and S'' = 2 dS'/dt: both
     are Chebyshev series in t, whose coefficients are formed once, and
-    Clenshaw's recurrence evaluates them.  Each root is refined by Newton on
-    S' inside a bracket that shrinks with the sign of S'; a step that leaves
-    the bracket is replaced by bisection, and a step below 1e-10 of the
-    bracket's width ends the iteration, as in designs._rolle_root.  A bracket
-    that has not converged after 100 steps also gives None.
+    Clenshaw's recurrence evaluates them.  Each root is refined by
+    :func:`bracketed_newton` on S' and S''; a bracket where it does not
+    converge also gives None.
     """
     # S' adds (t + 1) dQ/dt to Q, with t T_0 = T_1 and
     # t T_j = (T_{j+1} + T_{j-1}) / 2; the appended zero makes room for the
@@ -103,30 +98,52 @@ def local_extrema(y, edges, starts):
             d1[1] += b
     d2 = [2.0 * v for v in _chebyshev_derivative(d1)]
     slopes = [_chebyshev(d1, 2.0 * u - 1.0) for u in edges]
+
+    def f_df(u):
+        t = 2.0 * u - 1.0
+        return _chebyshev(d1, t), _chebyshev(d2, t)
+
     out = []
     for lo, hi, f_lo, f_hi, x in zip(edges, edges[1:], slopes, slopes[1:],
                                      starts):
         if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
             return None
-        rising = f_lo < 0.0
-        left, right = lo, hi
-        tol = _STEP_TOL * (hi - lo)
-        for _ in range(_MAX_STEPS):
-            t = 2.0 * x - 1.0
-            f, df = _chebyshev(d1, t), _chebyshev(d2, t)
-            if (f < 0.0) == rising:
-                left = x
-            else:
-                right = x
-            if df:
-                step = f / df
-                if abs(step) <= tol:
-                    out.append(x - step)
-                    break
-                if left < x - step < right:
-                    x -= step
-                    continue
-            x = 0.5 * (left + right)
-        else:
+        root = bracketed_newton(f_df, lo, hi, x, f_lo < 0.0)
+        if root is None:
             return None
+        out.append(root)
     return out
+
+
+_MAX_STEPS = 100
+_STEP_TOL = 1e-10
+
+
+def bracketed_newton(f_df, lo, hi, x, rising):
+    """The root of f in (lo, hi), across which f changes sign, rising from
+    below 0 to above it or, when not ``rising``, falling; refined from x
+    inside the bracket, and None when 100 steps do not reach it.
+
+    f_df(x) gives f(x) and f'(x).  Newton runs inside a bracket that
+    shrinks with the sign of f; a step that leaves the bracket, or one with
+    f' = 0, is replaced by bisection.  A step below 1e-10 of the width of
+    (lo, hi) ends the iteration; the quadratic convergence of Newton then
+    leaves an error at the rounding level of f.
+    """
+    left, right = lo, hi
+    tol = _STEP_TOL * (hi - lo)
+    for _ in range(_MAX_STEPS):
+        f, df = f_df(x)
+        if (f < 0.0) == rising:
+            left = x
+        else:
+            right = x
+        if df:
+            step = f / df
+            if abs(step) <= tol:
+                return x - step
+            if left < x - step < right:
+                x -= step
+                continue
+        x = 0.5 * (left + right)
+    return None

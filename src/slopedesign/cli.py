@@ -280,13 +280,14 @@ def _cmd_check(args) -> int:
     inputs = {"n": args.n, "a": args.a, "z": args.z, "design": args.design,
               "grid": args.grid, "tol_cert": args.tol_cert}
     _require_finite(args.z, basis.slope(args.n, args.z / args.a))
-    var = variance(problem, design, args.z)
     try:
+        var = variance(problem, design, args.z)
         cert = certify(problem, args.z, design, grid_points=args.grid,
                        tol=args.tol_cert)
     except ArithmeticError as exc:
-        # h sums the basis derivatives at z, which overflow at a target of
-        # huge magnitude or on an interval of subnormal length.
+        # h, and the variance of a design on the support, take the basis
+        # derivatives at z, which overflow at a target of huge magnitude or
+        # divide by 0 on an interval of subnormal length.
         raise _out_of_range(args.z) from exc
     except ZOutsideRegion as exc:
         result = {"verdict": "z_outside_region",

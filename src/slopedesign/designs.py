@@ -258,8 +258,9 @@ class _UnitState:
 
     def _build_inverse(self):
         # G^-1 for the n x n matrix G of columns g(s_i), so that the
-        # systems G beta = c of every target on the support are one
-        # product each.  G is well conditioned in the unit basis (1.6e2 at
+        # oracle's restricted route solves G beta = c at every target on
+        # the support with one product; the variance takes beta_i = L_i'(z)
+        # instead.  G is well conditioned in the unit basis (1.6e2 at
         # n = 12, 1.0e3 at n = 30).
         import numpy as np
         inverse = np.linalg.inv(basis.values(self.n, np.array(self.s)))
@@ -325,47 +326,29 @@ def weights_at(problem: DesignProblem, z: float) -> tuple[float, ...]:
     return tuple(v / total for v in vals)
 
 
-_MAX_STEPS = 100
-_STEP_TOL = 1e-10
-
-
 def _rolle_root(zeros: tuple[float, ...], k: int) -> float:
     # The one root of sum_r 1/(x - r) over the zeros r of L_i between
     # zeros[k] and zeros[k + 1]: that sum falls strictly from +inf to -inf
     # there.  Newton runs on the pole-free form
-    # F(x) = (x - lo)(hi - x) sum_r 1/(x - r), with F(lo) > 0 > F(hi), inside
-    # a bracket that shrinks with the sign of F; a step that leaves the
-    # bracket is replaced by bisection.  A step below _STEP_TOL of the gap
-    # ends the iteration; the quadratic convergence of Newton then leaves an
-    # error at the rounding level of F.
+    # F(x) = (x - lo)(hi - x) sum_r 1/(x - r), with F(lo) > 0 > F(hi), from
+    # the middle of the gap.
     lo, hi = zeros[k], zeros[k + 1]
     others = zeros[:k] + zeros[k + 2:]
-    left, right = lo, hi
-    tol = _STEP_TOL * (hi - lo)
-    x = 0.5 * (lo + hi)
-    for _ in range(_MAX_STEPS):
+
+    def f_df(x):
         s1 = s2 = 0.0
         for r in others:
             t = 1.0 / (x - r)
             s1 += t
             s2 += t * t
         w = (x - lo) * (hi - x)
-        f = (hi - x) - (x - lo) + w * s1
-        if f > 0.0:
-            left = x
-        else:
-            right = x
-        df = (hi + lo - 2.0 * x) * s1 - 2.0 - w * s2
-        if df < 0.0:
-            step = f / df
-            if abs(step) <= tol:
-                return x - step
-            if left < x - step < right:
-                x -= step
-                continue
-        x = 0.5 * (left + right)
-    raise Degenerate(f"no convergence in ({lo!r}, {hi!r}) after "
-                     f"{_MAX_STEPS} steps")
+        return ((hi - x) - (x - lo) + w * s1,
+                (hi + lo - 2.0 * x) * s1 - 2.0 - w * s2)
+
+    root = basis.bracketed_newton(f_df, lo, hi, 0.5 * (lo + hi), False)
+    if root is None:
+        raise Degenerate(f"no convergence in ({lo!r}, {hi!r})")
+    return root
 
 
 def admissible_region(problem: DesignProblem) -> AdmissibleRegion:

@@ -20,7 +20,8 @@ from .designs import (Design, DesignProblem, _rows_at, _unit_state,
                       admissible_region, basis_derivatives, support_points)
 
 # numpy is imported inside the functions that build arrays only, so that the
-# certificate and the closed form run without it.
+# certificate, the closed form and the variance of a design on its support
+# run without it.
 
 
 class ZOutsideRegion(Exception):
@@ -74,9 +75,9 @@ _RTOL = 1e-8  # variance: the estimability bound on the relative residual
 def _unit_slope(problem: DesignProblem, z: float) -> tuple[tuple, float]:
     # The slope in the unit basis divided by its largest entry, so that no
     # norm or product of it overflows, and the factor that turns h for it
-    # into h for f'(z).  One entry: oracle.compare's three routes,
-    # lp_c_optimal, restricted_weights and variance, each ask for it at the
-    # same (problem, z), and the first computes it for all.
+    # into h for f'(z).  One entry: oracle.compare's two routes,
+    # lp_c_optimal and restricted_weights, each ask for it at the same
+    # (problem, z), and the first computes it for both.
     c = basis.slope(problem.n, z / problem.a)
     scale = max(abs(ck) for ck in c)
     if not math.isfinite(scale):
@@ -95,26 +96,32 @@ def _unit_rows(problem: DesignProblem, points: tuple[float, ...]):
 def variance(problem: DesignProblem, design: Design, z: float) -> float:
     """c^T M^- c for the slope c = f'(z); +inf when c is not estimable.
 
-    Evaluated in the unit basis of :mod:`slopedesign.basis`.  On the
-    closed-form support, whose n x n matrix G of model vectors is
-    nonsingular, M^-1 = G^-T W^-1 G^-1 gives
-    c^T M^-1 c = sum_i beta_i^2 / w_i with beta = G^-1 c, one product with
-    the inverse that the unit state keeps.  Any
-    other design goes through the weighted square-root factor of
-    M = B^T B, with B built at each call: the minimum-norm solution of
+    On the closed-form support, intercept-free Lagrange interpolation at the
+    nodes reproduces every model function, so f'(z) = sum_i L_i'(z) f(x_i):
+    G beta = c has the solution beta_i = L_i'(z), with G the nonsingular
+    n x n matrix of model vectors, and M^-1 = G^-T W^-1 G^-1 gives
+    c^T M^-1 c = sum_i L_i'(z)^2 / w_i, from
+    :func:`~slopedesign.designs.basis_derivatives`, with no matrix; only
+    where those are nan, at a target of huge magnitude, does it take the
+    route of any other design.  Any other design goes through the weighted
+    square-root factor of M = B^T B, with B built at each call in the unit
+    basis of :mod:`slopedesign.basis`: the minimum-norm solution of
     B^T y = c gives c^T M^- c = |y|^2, whatever the generalized inverse,
     and c is not estimable when the relative least-squares residual exceeds
     1e-8.  Raises :class:`OverflowError` when that system is not finite,
     such as when a design point lies far outside [0, a].
     """
+    if design.points == support_points(problem):
+        # hypot scales its terms, so no square underflows, and a total
+        # beyond the float range is inf, not an error.
+        root = math.hypot(*(d / math.sqrt(w) for d, w in zip(
+            basis_derivatives(problem, z), design.weights)))
+        if root == root:
+            return root * root
+        # nan: at a target of huge magnitude a product of the basis
+        # derivatives overflows, as inf * 0; the slope below is scaled.
     import numpy as np
     c, factor = _unit_slope(problem, z)
-    if design.points == support_points(problem):
-        beta = (_unit_state(problem.n).inverse @ c).tolist()
-        # sum, not fsum: a sum beyond the float range is inf, not an error.
-        root = math.sqrt(sum(b * b / w for b, w
-                             in zip(beta, design.weights))) * factor
-        return root * root
     rows = _unit_rows(problem, design.points)
     with np.errstate(over="ignore", invalid="ignore"):
         bt = rows * np.sqrt(design.weights)

@@ -18,12 +18,13 @@ The grid LP is the one LP solver here: a revised primal simplex on the grid
 matrix G alone, which starts from a kept basis and so never runs phase 1.
 Only the right-hand side c = f'(z) depends on the target, so each n x n
 matrix is inverted once and kept while it is in use: the fixed-support
-route and the variance read the inverse that the unit state of the degree
-keeps for the closed-form support, and the LP keeps one factor of its
-basis, B and B^-1, from which every solve starts.  A basic column that a
-new target drives negative is swapped for its mirror by negating its
-column of B and its row of B^-1, and the simplex prices with the kept
-B^-1; only a basis a pivot reached is inverted again.  A covered target
+route reads the inverse that the unit state of the degree keeps for the
+closed-form support (the closed form's variance is a sum over the nodes and
+reads none), and the LP keeps one factor of its basis, B and B^-1, from
+which every solve starts.  A basic column that a new target drives
+negative is swapped for its mirror by negating its column of B and its row
+of B^-1, and the simplex prices with the kept B^-1; only a basis a pivot
+reached is inverted again.  A covered target
 after the first is then a few matrix-vector products, with no LAPACK call.
 h is the correctly rounded sum of the basic values, so it depends only on
 the basis the LP ends on, not on how the LP got there.
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -365,27 +365,6 @@ def restricted_weights(problem: DesignProblem, z: float,
     return root * root, tuple(float(v) for v in np.abs(beta) / total)
 
 
-def _nearest(points: tuple[float, ...], x: float) -> tuple[int, float]:
-    """(k, |x - points[k]|) for the point nearest x, the first on a tie:
-    the index of the first minimum of [|x - s| for s in points], found by
-    bisection on the ascending points.
-
-    Rounding is monotone, so |x - s| computed in floats does not increase
-    over the points below x and does not decrease over those from x on;
-    only a tie below x can reach further back than the nearest point.
-    """
-    i = bisect_left(points, x)
-    if i == len(points):
-        k, dist = i - 1, abs(x - points[i - 1])
-    else:
-        k, dist = i, abs(x - points[i])
-        if i and abs(x - points[i - 1]) <= dist:
-            k, dist = i - 1, abs(x - points[i - 1])
-    while k and abs(x - points[k - 1]) == dist:
-        k -= 1
-    return k, dist
-
-
 def compare(problem: DesignProblem, z: float,
             grid: GridSpec = GridSpec()) -> OracleReport:
     """Run all three routes at z and report how well they agree.
@@ -399,17 +378,20 @@ def compare(problem: DesignProblem, z: float,
     power of a is formed, and as one product with lp_variance, so that no
     intermediate overflows: on a grid of more than 2n points (the default
     grid up to n = 1000) the factor is below 1, and the threshold is finite
-    whenever lp_variance is.  Each LP point is matched to the nearest
-    closed-form point (the first on a tie, found by bisection) when it lies
-    within half a grid spacing of it.
+    whenever lp_variance is.  The grid holds the closed-form support
+    exactly, so each LP point is matched to the closed-form point it
+    equals; the weight of any other LP point is stray, and the largest one
+    counts as a weight discrepancy.
 
-    Every route reads a kept inverse where its matrix does not depend on z:
-    the closed-form routes the unit state's for the closed-form support, the
-    LP that of its kept basis.  A covered target calls no LAPACK solve: a
-    cold one inverts the unit state's matrix and the LP's start, and a
-    later one does only the work of z.
+    The closed-form variance, from :func:`~slopedesign.elfving.variance`,
+    is a sum over the nodes with no matrix, so the 1e-9 check holds it
+    against a second construction: the restricted route reads the inverse
+    that the unit state keeps for the closed-form support, and the LP that
+    of its kept basis.  A covered target calls no
+    LAPACK solve: a cold one inverts the unit state's matrix and the LP's
+    start, and a later one does only the work of z.
     """
-    n, a = problem.n, problem.a
+    n = problem.n
     try:
         closed = optimal_design(problem, z)
     except (NotCovered, BoundaryPoint):
@@ -418,7 +400,6 @@ def compare(problem: DesignProblem, z: float,
     lp_var = h_lp ** 2
     restricted_var, _ = restricted_weights(problem, z, support_points(problem))
 
-    spacing = a * grid.spacing_fraction
     margin_threshold = lp_var * max(1e-6,
                                     3.0 * (n * grid.spacing_fraction) ** 2)
 
@@ -427,14 +408,15 @@ def compare(problem: DesignProblem, z: float,
                             None, False, margin_threshold)
 
     cf_var = variance(problem, closed, z)
+    index = {x: k for k, x in enumerate(closed.points)}
     lp_on_support = [0.0] * len(closed.points)
     stray = 0.0
     for x, w in zip(lp_design.points, lp_design.weights):
-        k, dist = _nearest(closed.points, x)
-        if dist <= 0.5 * spacing:
-            lp_on_support[k] += w
-        else:
+        k = index.get(x)
+        if k is None:
             stray = max(stray, w)
+        else:
+            lp_on_support[k] += w
     disc = max(max(abs(wc - wl) for wc, wl
                    in zip(closed.weights, lp_on_support)), stray)
     agrees = (abs(lp_var - cf_var) <= 1e-2 * cf_var

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from slopedesign.cli import main
-from slopedesign.designs import admissible_region
+from slopedesign.designs import (DesignProblem, admissible_region,
+                                 support_points)
 
 from helpers import clear_caches
 
@@ -151,6 +152,24 @@ class TestCheckCommand:
                                 "--z", "0.2", "--design", str(f))
         assert code == 2
         assert doc["result"]["verdict"] == "z_outside_region"
+
+    # The region is valid and the points are distinct, but a scale D_i * a
+    # of the basis derivatives underflows to 0, in the variance of a design
+    # on the support as in h: a usage error, with nothing on stdout.
+    @pytest.mark.parametrize("n,a", [(10, 1e-319), (20, 1e-314),
+                                     (30, 1e-308)])
+    def test_underflowing_scale_on_the_support_is_usage_error(
+            self, capsys, tmp_path, n, a):
+        points = support_points(DesignProblem(n, a))
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps({"points": list(points),
+                                 "weights": [1.0 / n] * n}),
+                     encoding="utf-8")
+        code, out, err = run(capsys, "check", "--n", str(n), "--a", repr(a),
+                             "--z", repr(a), "--design", str(f))
+        assert (code, out) == (64, "")
+        assert err.count("\n") == 1
+        assert f"z={a!r}" in err
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "check", "--n", "2", "--a", "1", "--z", "1",

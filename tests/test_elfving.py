@@ -131,6 +131,21 @@ class TestVariance:
         assert variance(DesignProblem(2, 1.0), Design((1.0,), (1.0,)),
                         0.75) == math.inf
 
+    @pytest.mark.parametrize("n,a,z", [(5, 1.0, 1e75), (5, 1.0, -1e75),
+                                       (5, 1.0, 1e77), (2, 1e80, 1e300)])
+    def test_targets_of_huge_magnitude_on_the_support(self, n, a, z):
+        # A product inside basis_derivatives overflows at these targets.
+        # The variance is the reference's, inf where that is beyond the
+        # float range, and never nan.
+        problem = DesignProblem(n, a)
+        s = support_points(problem)
+        design = Design(s, [1.0 / n] * n)
+        want = R.design_variance(n, R.mp.mpf(z) / a,
+                                 [R.mp.mpf(x) / a for x in s],
+                                 design.weights) / R.mp.mpf(a) ** 2
+        assert variance(problem, design, z) == pytest.approx(
+            R.to_float(want), rel=1e-12)
+
     def test_matches_absolute_derivative_sum_squared(self):
         pr = DesignProblem(3, 1.0)
         d = optimal_design(pr, 1.0)
@@ -161,10 +176,13 @@ class TestVariance:
     @pytest.mark.parametrize("n", range(1, 31))
     def test_closed_form_support_matches_reference(self, n, a):
         # Weights that are not optimal, uniform and seeded random, on the
-        # closed-form support, whose variance is one n x n solve.  The
-        # reference runs on [0, 1] in 40 digits, where its monomial matrix
-        # is not singular to mpmath, and scales by 1 / a^2: with
+        # closed-form support, whose variance is sum_i L_i'(z)^2 / w_i, at
+        # targets below 0, inside (0, a), at a and above a.  The reference
+        # runs on [0, 1] in 40 digits, where its monomial matrix is not
+        # singular to mpmath, and scales by 1 / a^2: with
         # f(x) = diag(a^k) f(x / a), c^T M^- c is that at a = 1 over a^2.
+        # The node form errs by at most 1.7e-14 here; beta = G^-1 c through
+        # an explicit inverse erred by up to 9.6e-14.
         problem = DesignProblem(n, a)
         s = support_points(problem)
         rng = random.Random(n)
@@ -172,11 +190,11 @@ class TestVariance:
         unit = [R.mp.mpf(x) / a for x in s]
         for weights in ([1.0 / n] * n, [x / math.fsum(w) for x in w]):
             design = Design(s, weights)
-            for z in (a, -0.5 * a):
+            for z in (a, 0.37 * a, -0.5 * a, 1.7 * a):
                 want = R.to_float(R.design_variance(
                     n, R.mp.mpf(z) / a, unit, design.weights) / R.mp.mpf(a) ** 2)
                 assert variance(problem, design, z) == pytest.approx(
-                    want, rel=1e-12), (n, a, z)
+                    want, rel=5e-14), (n, a, z)
 
 
 def _trig_extremal(problem, x):

@@ -1,6 +1,8 @@
-"""numpy is loaded only by the code that works on arrays, no command loads
-the exact-arithmetic modules fractions and decimal, and none loads
-dataclasses or inspect, which the records of the package do without.
+"""numpy is loaded only by the code that works on arrays: design, region,
+plotdata and a check of a design on the closed-form support run without it.
+No command loads the exact-arithmetic modules fractions and decimal, and
+none loads dataclasses or inspect, which the records of the package do
+without.
 
 Each check runs in a fresh interpreter, since this test process has numpy
 loaded already.
@@ -21,22 +23,33 @@ def run_python(code: str) -> subprocess.CompletedProcess:
 
 
 NUMPY_FREE_COMMANDS = """
-import contextlib, io, sys
+import contextlib, io, os, sys, tempfile
 import slopedesign
 from slopedesign import cli
+design = io.StringIO()
+with contextlib.redirect_stdout(design):
+    assert cli.main(["design", "--n", "4", "--a", "1", "--z", "0.95"]) == 0
+fd, path = tempfile.mkstemp(suffix=".json")
+with os.fdopen(fd, "w") as fh:
+    fh.write(design.getvalue())
 argvs = [
     ["design", "--n", "4", "--a", "1", "--z", "0.95"],
     ["design", "--n", "4", "--a", "1", "--z-list", "0.95", "0.2", "0.4"],
     ["region", "--n", "4", "--a", "1"],
     ["plotdata", "--n", "4", "--a", "1", "--what", "extremal"],
     ["plotdata", "--n", "4", "--a", "1", "--what", "weightderivs"],
+    ["check", "--n", "4", "--a", "1", "--z", "0.95", "--design", path],
 ]
-for argv in argvs:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    assert code in (0, 2), (argv, code)
-    for name in ("numpy", "fractions", "decimal", "dataclasses", "inspect"):
-        assert name not in sys.modules, (name, argv)
+try:
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 2), (argv, code)
+        for name in ("numpy", "fractions", "decimal", "dataclasses",
+                     "inspect"):
+            assert name not in sys.modules, (name, argv)
+finally:
+    os.remove(path)
 """
 
 

@@ -275,21 +275,24 @@ class TestCompare:
             assert small == pytest.approx(unit, rel=1e-12), (k, small, unit)
             assert large == pytest.approx(unit, rel=1e-12), (k, large, unit)
 
-    def test_nearest_is_the_first_minimum_of_the_distances(self):
-        # The bisection of compare against the n distances per LP point it
-        # replaced: the same index and distance, ties included.
-        rng = np.random.default_rng(5)
-        cases = [((1.0, 1.0 + 2.0 ** -52), x) for x in (1e17, -1e17, 1.0)]
-        for _ in range(300):
-            size = int(rng.integers(1, 10))
-            pts = tuple(sorted(set(rng.uniform(0.0, 1.0, size).tolist())))
-            mids = [0.5 * (s + t) for s, t in zip(pts, pts[1:])]
-            for x in [*rng.uniform(-0.2, 1.2, 4).tolist(), *pts, *mids]:
-                cases.append((pts, x))
-        for pts, x in cases:
-            dists = [abs(x - s) for s in pts]
-            k = dists.index(min(dists))
-            assert oracle._nearest(pts, x) == (k, dists[k])
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("n", [1, 4, 12, 30])
+    def test_lp_point_one_ulp_off_the_support_is_stray(self, n, a,
+                                                       monkeypatch):
+        # The grid holds the closed-form support exactly, so an LP point one
+        # ulp below its support point matches no closed-form point: its
+        # whole weight is a discrepancy, where half a grid spacing once
+        # absorbed the move.
+        problem = DesignProblem(n, a)
+        h, design = lp_c_optimal(problem, a)
+        k = design.weights.index(max(design.weights))
+        points = list(design.points)
+        points[k] = math.nextafter(points[k], -math.inf)
+        moved = Design(points, design.weights)
+        monkeypatch.setattr(oracle, "lp_c_optimal", lambda *args: (h, moved))
+        report = compare(problem, a)
+        assert report.covered
+        assert report.max_weight_discrepancy >= design.weights[k]
 
     @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
     @pytest.mark.parametrize("n", [2, 7, 12, 30])
