@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 # The oracle module needs numpy, so its names are imported on first access
 # (PEP 562); the closed form and the certificate run without numpy.
 _ORACLE_NAMES = frozenset({
-    "GridSpec", "NumericalFailure", "OracleReport", "SingularSupport",
-    "compare", "lp_c_optimal", "restricted_weights",
+    "GridSpec", "NumericalFailure", "OracleReport", "compare",
+    "lp_c_optimal", "restricted_weights",
 })
 
 
@@ -33,7 +33,7 @@ def __getattr__(name):
 __all__ = [
     "AdmissibleRegion", "BoundaryPoint", "Degenerate", "Design",
     "DesignProblem", "ElfvingCertificate", "GridSpec", "NotCovered",
-    "NumericalFailure", "OracleReport", "SingularSupport", "ZOutsideRegion",
+    "NumericalFailure", "OracleReport", "ZOutsideRegion",
     "admissible_region", "basis_derivatives", "certify", "compare",
     "extremal_value", "lp_c_optimal", "optimal_design", "restricted_weights",
     "support_points", "variance", "weights_at",

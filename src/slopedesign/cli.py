@@ -15,7 +15,6 @@ import os
 import re
 import sys
 
-from . import basis
 from .designs import (BoundaryPoint, DesignProblem, Design, NotCovered,
                       admissible_region, basis_derivatives, optimal_design)
 from .elfving import ZOutsideRegion, certify, extremal_value, variance
@@ -154,8 +153,8 @@ def _out_of_range(z: float) -> _UsageExit:
 
 
 def _require_finite(z: float, values) -> None:
-    # A target of huge magnitude overflows the slope vector; no JSON number
-    # can carry the result.
+    # At a target of huge magnitude h, a variance or a margin overflows; no
+    # JSON number can carry the result.
     if not all(math.isfinite(v) for v in values):
         raise _out_of_range(z)
 
@@ -182,7 +181,7 @@ def _design_payload(problem, z, args, warnings):
         raise _out_of_range(z) from exc
     cert = certify(problem, z, design, grid_points=args.grid,
                    tol=args.tol_cert)
-    _require_finite(z, (*design.weights, *_cert_numbers(cert)))
+    _require_finite(z, _cert_numbers(cert))  # Design's weights are finite
     payload = {
         "covered": True,
         "points": list(design.points),
@@ -279,15 +278,15 @@ def _cmd_check(args) -> int:
         raise _DataError(f"invalid design: {exc}") from exc
     inputs = {"n": args.n, "a": args.a, "z": args.z, "design": args.design,
               "grid": args.grid, "tol_cert": args.tol_cert}
-    _require_finite(args.z, basis.slope(args.n, args.z / args.a))
     try:
         var = variance(problem, design, args.z)
         cert = certify(problem, args.z, design, grid_points=args.grid,
                        tol=args.tol_cert)
     except ArithmeticError as exc:
         # h, and the variance of a design on the support, take the basis
-        # derivatives at z, which overflow at a target of huge magnitude or
-        # divide by 0 on an interval of subnormal length.
+        # derivatives at z, any other variance the slope vector: they
+        # overflow at a target of huge magnitude, and the former divide by
+        # 0 on an interval of subnormal length.
         raise _out_of_range(args.z) from exc
     except ZOutsideRegion as exc:
         result = {"verdict": "z_outside_region",
@@ -311,10 +310,9 @@ def compare(problem, z: float, grid_points: int):
 
 def _cmd_oracle(args) -> int:
     from numpy.linalg import LinAlgError
-    from .oracle import NumericalFailure, SingularSupport
+    from .oracle import NumericalFailure
     problem = _problem(args)
     _check_grid_and_targets(args, args.n + 1)
-    _require_finite(args.z, basis.slope(args.n, args.z / args.a))
     try:
         report = compare(problem, args.z, args.grid)
     except OverflowError as exc:
@@ -323,7 +321,7 @@ def _cmd_oracle(args) -> int:
         # The grid LP holds a few doubles per grid point and degree.
         raise _UsageExit(f"--grid {args.grid} is too large: the grid LP "
                          "does not fit in memory") from exc
-    except (NumericalFailure, SingularSupport, LinAlgError) as exc:
+    except (NumericalFailure, LinAlgError) as exc:
         raise _InternalError(exc) from exc
     except ValueError as exc:
         # The closed-form design's checks, as in _design_payload.

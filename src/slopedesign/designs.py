@@ -62,22 +62,6 @@ class DesignProblem(Record):
         super().__init__(index, real)
 
 
-def _check_points(pts: tuple[float, ...]) -> None:
-    if not all(map(math.isfinite, pts)):
-        raise ValueError("points must be finite")
-    if not all(map(operator.lt, pts, pts[1:])):
-        raise ValueError("points must be strictly increasing")
-
-
-def _check_weights(ws: tuple[float, ...]) -> None:
-    if not all(map(math.isfinite, ws)):
-        raise ValueError("weights must be finite")
-    if any(w <= 0 for w in ws):
-        raise ValueError("weights must be positive")
-    if abs(math.fsum(ws) - 1.0) > 1e-12:
-        raise ValueError("weights must sum to 1 within 1e-12")
-
-
 class Design(Record):
     """Finite probability measure: strictly increasing finite points, positive
     finite weights that sum to 1."""
@@ -91,19 +75,17 @@ class Design(Record):
         ws = tuple(float(w) for w in weights)
         if len(pts) != len(ws) or not pts:
             raise ValueError("points and weights must be nonempty, same length")
-        _check_points(pts)
-        _check_weights(ws)
+        if not all(map(math.isfinite, pts)):
+            raise ValueError("points must be finite")
+        if not all(map(operator.lt, pts, pts[1:])):
+            raise ValueError("points must be strictly increasing")
+        if not all(map(math.isfinite, ws)):
+            raise ValueError("weights must be finite")
+        if any(w <= 0 for w in ws):
+            raise ValueError("weights must be positive")
+        if abs(math.fsum(ws) - 1.0) > 1e-12:
+            raise ValueError("weights must sum to 1 within 1e-12")
         super().__init__(pts, ws)
-
-    @classmethod
-    def _on_checked_points(cls, pts: tuple[float, ...],
-                           ws: tuple[float, ...]) -> "Design":
-        # Design(pts, ws) for tuples of floats of one length whose points
-        # passed _check_points already: only the weights are checked.
-        _check_weights(ws)
-        design = cls.__new__(cls)
-        Record.__init__(design, pts, ws)
-        return design
 
     def __len__(self) -> int:
         return len(self.points)
@@ -231,8 +213,13 @@ class _UnitState:
             s, d = 0.5 * (psi + phi), 0.5 * (psi - phi)
             q.append((1.0 + c) * (math.sin(n * s) / math.sin(s))
                      * (math.sin(n * d) / math.sin(d)))
-        p = [2.0 / n * math.fsum(qj * math.cos(k * theta)
-                                 for qj, theta in zip(q, thetas))
+        # cos(k theta_j) = cos(pi k (2j + 1) / 2n), read from a table of
+        # the 4n cosines cos(pi r / 2n) at r = k (2j + 1) mod 4n: the angle
+        # is reduced exactly, where k * theta_j carries the rounding of
+        # theta_j times k.
+        table = [math.cos(math.pi * r / (2 * n)) for r in range(4 * n)]
+        p = [2.0 / n * math.fsum(qj * table[k * (2 * j + 1) % (4 * n)]
+                                 for j, qj in enumerate(q))
              for k in range(n)]
         p[0] *= 0.5
         return tuple(p)
@@ -296,6 +283,8 @@ def basis_derivatives(problem: DesignProblem, z: float) -> tuple[float, ...]:
     factors, so nothing divides by z - s_j and the nodes need no special
     case.  The problem is scale-equivariant, L_i(z) = L_i^unit(z / a), so the
     products run over the nodes on [0, 1] and the result is scaled by 1 / a.
+    At a target of huge magnitude a value beyond the float range is +/-inf,
+    never nan: no product of an overflowed factor with a zero is formed.
     """
     state = _unit_state(problem.n)
     s, denoms = state.s, state.denoms
@@ -308,9 +297,12 @@ def basis_derivatives(problem: DesignProblem, z: float) -> tuple[float, ...]:
     for k in range(len(s) - 1):
         dp.append(dp[k] * d[k] + p[k])
         p.append(p[k] * d[k])
+    # At the last index q = 1 and dq = 0, so the derivative is dp alone:
+    # p * dq there would be inf * 0 = nan once the prefix product overflows.
     out = [0.0] * len(s)
-    q, dq = 1.0, 0.0
-    for i in range(len(s) - 1, -1, -1):
+    out[-1] = dp[-1] / (denoms[-1] * a)
+    q, dq = d[-1], 1.0
+    for i in range(len(s) - 2, -1, -1):
         out[i] = (dp[i] * q + p[i] * dq) / (denoms[i] * a)
         dq = dq * d[i] + q
         q *= d[i]
@@ -375,13 +367,14 @@ def optimal_design(problem: DesignProblem, z: float) -> Design:
     For n = 1 all mass sits at a regardless of z.  For n > 1 the design exists
     only for z strictly inside the admissible region; :class:`NotCovered` and
     :class:`BoundaryPoint` report the other cases explicitly; the boundary
-    band is that of :meth:`AdmissibleRegion.locate`.  The weights are
-    checked as :class:`Design` checks them at every call; a target of such
-    magnitude, or an interval so short, that they are not finite raises
-    :class:`ValueError`.
+    band is that of :meth:`AdmissibleRegion.locate`.  The design is built
+    by :class:`Design`, which checks its points and weights at every call;
+    a target of such magnitude, or an interval so short, that the weights
+    are not finite raises :class:`ValueError`, as does an a so small that
+    two scaled support points merge.
     """
-    if problem.n == 1:  # one finite point, nothing to check
-        return Design._on_checked_points(support_points(problem), (1.0,))
+    if problem.n == 1:
+        return Design(support_points(problem), (1.0,))
     region = admissible_region(problem)
     kind, info = region.locate(z)
     if kind == "boundary":
@@ -394,6 +387,5 @@ def optimal_design(problem: DesignProblem, z: float) -> Design:
         # A basis derivative or their sum overflows, or a scale D_i * a of
         # basis_derivatives underflows to 0: the weights are not finite.
         raise ValueError("weights must be finite") from exc
-    support = support_points(problem)
-    _check_points(support)  # a subnormal a can merge two scaled points
-    return Design._on_checked_points(support, weights)
+    # Design checks the points too: a subnormal a can merge two of them.
+    return Design(support_points(problem), weights)

@@ -85,14 +85,6 @@ def _unit_slope(problem: DesignProblem, z: float) -> tuple[tuple, float]:
     return tuple(ck / scale for ck in c), scale / problem.a
 
 
-def _unit_rows(problem: DesignProblem, points: tuple[float, ...]):
-    # The n x m array with columns g(x_i / a).  An entry that overflows is
-    # inf or nan, with no warning.
-    import numpy as np
-    return np.array([basis.values(problem.n, x / problem.a)
-                     for x in points]).T
-
-
 def variance(problem: DesignProblem, design: Design, z: float) -> float:
     """c^T M^- c for the slope c = f'(z); +inf when c is not estimable.
 
@@ -101,11 +93,11 @@ def variance(problem: DesignProblem, design: Design, z: float) -> float:
     G beta = c has the solution beta_i = L_i'(z), with G the nonsingular
     n x n matrix of model vectors, and M^-1 = G^-T W^-1 G^-1 gives
     c^T M^-1 c = sum_i L_i'(z)^2 / w_i, from
-    :func:`~slopedesign.designs.basis_derivatives`, with no matrix; only
-    where those are nan, at a target of huge magnitude, does it take the
-    route of any other design.  Any other design goes through the weighted
-    square-root factor of M = B^T B, with B built at each call in the unit
-    basis of :mod:`slopedesign.basis`: the minimum-norm solution of
+    :func:`~slopedesign.designs.basis_derivatives`, with no matrix and no
+    numpy; it is inf where that sum leaves the float range.  Any other
+    design goes through the weighted square-root factor of M = B^T B, with
+    B built at each call in the unit basis of :mod:`slopedesign.basis`
+    (an entry that overflows is inf or nan): the minimum-norm solution of
     B^T y = c gives c^T M^- c = |y|^2, whatever the generalized inverse,
     and c is not estimable when the relative least-squares residual exceeds
     1e-8.  Raises :class:`OverflowError` when that system is not finite,
@@ -116,13 +108,11 @@ def variance(problem: DesignProblem, design: Design, z: float) -> float:
         # beyond the float range is inf, not an error.
         root = math.hypot(*(d / math.sqrt(w) for d, w in zip(
             basis_derivatives(problem, z), design.weights)))
-        if root == root:
-            return root * root
-        # nan: at a target of huge magnitude a product of the basis
-        # derivatives overflows, as inf * 0; the slope below is scaled.
+        return root * root
     import numpy as np
     c, factor = _unit_slope(problem, z)
-    rows = _unit_rows(problem, design.points)
+    rows = np.array([basis.values(problem.n, x / problem.a)
+                     for x in design.points]).T
     with np.errstate(over="ignore", invalid="ignore"):
         bt = rows * np.sqrt(design.weights)
     if not np.isfinite(bt).all():

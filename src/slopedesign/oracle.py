@@ -5,7 +5,8 @@ Two routes that do not use the closed-form weights:
 * a grid linear program over conv{+/- f(x)} whose optimal objective h gives
   the optimal variance h^2 among all designs supported on the grid, and
 * a fixed-support weight optimizer that solves the n x n moment system
-  directly and minimizes the variance over weights in closed form.
+  on the closed-form support and minimizes the variance over weights in
+  closed form.
 
 Neither is independent of the closed-form support: the grid is augmented
 with it and the first LP solve of a problem starts from its columns, and the
@@ -42,16 +43,12 @@ from . import basis as unit_basis  # `basis` names the LP basis here
 from ._record import Record
 from .designs import (BoundaryPoint, Design, DesignProblem, NotCovered,
                       _unit_state, optimal_design, support_points)
-from .elfving import _unit_rows, _unit_slope, variance
+from .elfving import _unit_slope, variance
 
 
 class NumericalFailure(RuntimeError):
     """The simplex exceeded its iteration cap or ended on a singular basis
     (hard bug signal)."""
-
-
-class SingularSupport(ValueError):
-    """Support points coincide or include 0, so the moment system is singular."""
 
 
 class GridSpec(Record):
@@ -328,41 +325,25 @@ def lp_c_optimal(problem: DesignProblem, z: float,
                                   (values / total).tolist())
 
 
-def restricted_weights(problem: DesignProblem, z: float,
-                       support) -> tuple[float, tuple[float, ...]]:
-    """Best weights (and variance) for the slope at z on a pinned support.
+def restricted_weights(problem: DesignProblem,
+                       z: float) -> tuple[float, tuple[float, ...]]:
+    """Best weights (and variance) for the slope at z on the closed-form
+    support, pinned: the competitor that the optimal design beats outside
+    the admissible region.
 
-    Solves G beta = c with G = (g(u_1) ... g(u_n)) in the unit basis of
-    :mod:`slopedesign.basis`; the variance sum_i beta_i^2 / w_i is minimized
-    by w_i proportional to |beta_i|, with minimum (sum_i |beta_i|)^2.
-    :class:`SingularSupport` reports a point at 0, two points within
-    1e-12 * max|s| of each other, a point that is not finite or a singular
-    G.  The checks run at every call.  On the closed-form support beta is
-    one product with the inverse of G that the unit state of the degree
-    keeps; any other G is built and solved at each call.
+    Solves G beta = c with G = (g(u_1) ... g(u_n)) at the unit nodes, in the
+    unit basis of :mod:`slopedesign.basis`; the variance sum_i beta_i^2 / w_i
+    is minimized by w_i proportional to |beta_i|, with minimum
+    (sum_i |beta_i|)^2.  beta is one product with the inverse of G that the
+    unit state of the degree keeps: a second construction, up to a common
+    factor, of the L_i'(z) from which :func:`~slopedesign.elfving.variance`
+    sums the closed form's variance.
     """
-    s = tuple(map(float, support))
-    if len(s) != problem.n:
-        raise ValueError("support size must match n")
-    if not all(map(math.isfinite, s)):
-        raise SingularSupport("support points must be finite")
-    tol = 1e-12 * max(map(abs, s))
-    if min(map(abs, s)) <= tol:
-        raise SingularSupport("a support point sits at 0, where f vanishes")
-    ordered = sorted(s)
-    if any(y - x <= tol for x, y in zip(ordered, ordered[1:])):
-        raise SingularSupport("support points coincide within 1e-12 * max|s|")
     rhs, factor = _unit_slope(problem, z)
-    if s == support_points(problem):
-        beta = _unit_state(problem.n).inverse @ rhs
-    else:
-        try:
-            beta = np.linalg.solve(_unit_rows(problem, s), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSupport(str(exc)) from exc
-    total = float(np.sum(np.abs(beta)))
+    beta = np.abs(_unit_state(problem.n).inverse @ rhs)
+    total = float(np.sum(beta))
     root = total * factor
-    return root * root, tuple(float(v) for v in np.abs(beta) / total)
+    return root * root, tuple(float(v) for v in beta / total)
 
 
 def compare(problem: DesignProblem, z: float,
@@ -373,12 +354,12 @@ def compare(problem: DesignProblem, z: float,
     (grid discretization) and the restricted route within 1e-9; outside, the
     report exposes the LP-vs-restricted gap against ``margin_threshold``, a
     grid-resolution allowance relative to the LP variance,
-    lp_variance * max(1e-6, 3 * (n * spacing / a)^2), so that it scales as
-    the variances do with a; it is written with spacing / a so that no
-    power of a is formed, and as one product with lp_variance, so that no
-    intermediate overflows: on a grid of more than 2n points (the default
-    grid up to n = 1000) the factor is below 1, and the threshold is finite
-    whenever lp_variance is.  The grid holds the closed-form support
+    lp_variance * min(1, max(1e-6, 3 * (n * spacing / a)^2)), so that it
+    scales as the variances do with a; it is written with spacing / a so
+    that no power of a is formed, and as one product with lp_variance
+    whose factor is at most 1, so that the threshold is finite whenever
+    lp_variance is, on every grid.  lp_variance is h * h, which is inf
+    where h^2 leaves the float range.  The grid holds the closed-form support
     exactly, so each LP point is matched to the closed-form point it
     equals; the weight of any other LP point is stray, and the largest one
     counts as a weight discrepancy.
@@ -397,11 +378,11 @@ def compare(problem: DesignProblem, z: float,
     except (NotCovered, BoundaryPoint):
         closed = None
     h_lp, lp_design = lp_c_optimal(problem, z, grid)
-    lp_var = h_lp ** 2
-    restricted_var, _ = restricted_weights(problem, z, support_points(problem))
+    lp_var = h_lp * h_lp  # inf beyond the float range, where ** raises
+    restricted_var, _ = restricted_weights(problem, z)
 
-    margin_threshold = lp_var * max(1e-6,
-                                    3.0 * (n * grid.spacing_fraction) ** 2)
+    margin_threshold = lp_var * min(1.0, max(
+        1e-6, 3.0 * (n * grid.spacing_fraction) ** 2))
 
     if closed is None:
         return OracleReport(False, None, lp_var, restricted_var, lp_design,

@@ -96,11 +96,10 @@ def test_criterion_2_boundary_root_vs_lp_transition():
     t0 = time.perf_counter()
     problem = DesignProblem(2, 1.0)
     library_root = admissible_region(problem).boundary_roots[1][0]
-    sup = support_points(problem)
 
     def support_is_optimal(z):
         h, _ = lp_c_optimal(problem, z)
-        rvar, _ = restricted_weights(problem, z, sup)
+        rvar, _ = restricted_weights(problem, z)
         return rvar - h * h <= 1e-7 * rvar
 
     lo, hi = 0.15, 0.30
@@ -199,7 +198,7 @@ def test_criterion_6_oracle_agreement_sweep():
         h2 = float(R.problem(problem.n, problem.a).optimal_variance(z))
         h_lp, _ = lp_c_optimal(problem, z)
         assert abs(h_lp ** 2 - h2) <= 5e-3 * h2, (problem, z)
-        rvar, _ = restricted_weights(problem, z, support_points(problem))
+        rvar, _ = restricted_weights(problem, z)
         assert abs(rvar - h2) <= 1e-9 * h2, (problem, z)
         checked += 1
     _report(6, time.perf_counter() - t0, 60.0,

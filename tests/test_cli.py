@@ -66,6 +66,28 @@ class TestDesignCommand:
         assert zs == [1.0, 0.2, 0.4]
         assert [e["covered"] for e in doc["result"]] == [True, False, True]
 
+    # (sqrt 2 - 1) / 2, the upper end of the first interval of n = 2.
+    BOUNDARY = 0.20710678118654757
+
+    @pytest.mark.parametrize("targets", [["--z", repr(BOUNDARY)],
+                                         ["--z-list", "1", repr(BOUNDARY)]],
+                             ids=["z", "z-list"])
+    def test_region_boundary_is_not_covered(self, capsys, targets):
+        # A weight vanishes at the endpoint: exit 2 with the region, and one
+        # warning that names the endpoint.
+        code, doc, _ = run_json(capsys, "design", "--n", "2", "--a", "1",
+                                *targets)
+        assert code == 2
+        res = doc["result"]
+        if targets[0] == "--z-list":
+            assert res[0]["covered"] is True
+            assert res[1]["z"] == self.BOUNDARY
+            res = res[1]
+        assert res["covered"] is False
+        assert res["region"] == [["-inf", self.BOUNDARY], [0.5, "inf"]]
+        assert len(doc["warnings"]) == 1
+        assert f"endpoint {self.BOUNDARY!r}" in doc["warnings"][0]
+
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "design", "--n", "4", "--a", "1", "--z", "0.95")
         _, out2, _ = run(capsys, "design", "--n", "4", "--a", "1", "--z", "0.95")
@@ -184,6 +206,27 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "--n", "2", "--a", "1", "--z", "1",
                            "--design", str(f))
         assert code == 65
+
+    @pytest.mark.parametrize("key", ["points", "weights"])
+    def test_design_file_without_points_or_weights(self, capsys, tmp_path,
+                                                   key):
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps({key: [1.0]}), encoding="utf-8")
+        code, out, err = run(capsys, "check", "--n", "1", "--a", "1",
+                             "--z", "0.5", "--design", str(f))
+        assert (code, out) == (65, "")
+        assert "must carry 'points' and 'weights'" in err
+
+    def test_weights_off_by_less_than_1e_9_are_renormalized(self, capsys,
+                                                            tmp_path):
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps({"points": list(support_points(
+            DesignProblem(2, 1.0))), "weights": [0.5, 0.5 + 5e-10]}),
+            encoding="utf-8")
+        code, doc, _ = run_json(capsys, "check", "--n", "2", "--a", "1",
+                                "--z", "1", "--design", str(f))
+        assert code == 0
+        assert doc["warnings"] == ["weights renormalized to sum exactly to 1"]
 
     def test_weight_sum_violation_is_data_error(self, capsys, tmp_path):
         f = tmp_path / "w.json"
@@ -387,15 +430,13 @@ class TestInternalErrors:
         assert out == ""
         assert "synthetic failure" in err
 
-    @pytest.mark.parametrize("name", ["SingularSupport", "LinAlgError"])
+    @pytest.mark.parametrize("name", ["LinAlgError"])
     def test_singular_systems_map_to_exit_70(self, capsys, monkeypatch, name):
         import numpy as np
-        from slopedesign import cli, oracle
-        exc = {"SingularSupport": oracle.SingularSupport,
-               "LinAlgError": np.linalg.LinAlgError}[name]
+        from slopedesign import cli
 
         def boom(*args, **kwargs):
-            raise exc("synthetic singular system")
+            raise getattr(np.linalg, name)("synthetic singular system")
 
         monkeypatch.setattr(cli, "compare", boom)
         code, out, err = run(capsys, "oracle", "--n", "2", "--a", "1", "--z", "1")
@@ -423,6 +464,16 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["design", "--n", "2", "--a", "1"])
         assert err.value.code == 64
+
+    @pytest.mark.parametrize("argv", [["check", "--design", "d.json"],
+                                      ["oracle"]], ids=["check", "oracle"])
+    def test_check_and_oracle_require_z(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main([argv[0], "--n", "2", "--a", "1", *argv[1:]])
+        assert err.value.code == 64
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {argv[0]} requires --z\n"
 
     def test_design_takes_z_or_z_list_not_both(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -555,6 +606,21 @@ class TestLargeDegree:
         assert doc["command"] == argv[0]
 
 
+    @pytest.mark.parametrize("n", [137, 160, 200, 298])
+    def test_certificate_margins_within_half_the_tolerance(self, capsys, n):
+        # The extremal coefficients take cos(k theta_j) from exactly reduced
+        # angles.  With k * theta_j rounded, a correct design failed its
+        # certificate at these degrees (at n = 200 its margin was 0.93 of
+        # the tolerance).
+        code, doc, _ = run_json(capsys, "design", "--n", str(n), "--a", "1",
+                                "--z", "1")
+        assert code == 0
+        cert = doc["result"]["certificate"]
+        assert cert["verdict"] == "verified"
+        margins = cert["margins"]
+        assert max(margins["condition1"], *margins["condition2"],
+                   margins["condition3"]) <= 0.5 * doc["inputs"]["tol_cert"]
+
     def test_small_interval_target_near_boundary_is_covered(self, capsys):
         # z = a lies 2.3e-11 above the last interval's lower end, well inside
         # at the scale of a = 1e-8; the boundary tolerance is relative to a.
@@ -578,17 +644,32 @@ class TestOracleExtremeScales:
 
     @pytest.mark.parametrize("n,a,z", [("1", "1e80", "0.5"),
                                        ("3", "1e-12", "1e-12"),
-                                       ("3", "3140", "2.3066102291535913e+81")])
+                                       ("3", "3140", "2.3066102291535913e+81"),
+                                       ("2", "1e80", "1e300")])
     def test_agrees(self, capsys, n, a, z):
-        # At the last target the variances are about 1.8e308, near the top
-        # of the float range, and margin_threshold stays finite.
+        # At the third target the variances are about 1.8e308, near the top
+        # of the float range, and margin_threshold stays finite.  At the
+        # last, the prefix product of the last basis derivative overflows
+        # while the derivative itself is finite.
         code, doc, _ = run_json(capsys, "oracle", "--n", n, "--a", a, "--z", z)
         assert code == 0
         assert doc["result"]["agrees"] is True
 
+    @pytest.mark.parametrize("grid", ["4", "6"])
+    def test_agrees_on_a_coarse_grid(self, capsys, grid):
+        # 3 (n spacing / a)^2 exceeds 1 on these grids; margin_threshold's
+        # factor is capped at 1, so with the variances near 1.8e308 the
+        # threshold is the LP variance itself, not inf.
+        code, doc, _ = run_json(capsys, "oracle", "--n", "3", "--a", "3140",
+                                "--z", "2.3066102291535913e+81",
+                                "--grid", grid)
+        assert code == 0
+        res = doc["result"]
+        assert res["agrees"] is True
+        assert res["margin_threshold"] == res["lp_variance"]
+
     @pytest.mark.parametrize("n,a,z", [("2", "1e-8", "1e300"),
-                                       ("4", "1e-8", "1e100"),
-                                       ("2", "1e80", "1e300")])
+                                       ("4", "1e-8", "1e100")])
     def test_out_of_range_target(self, capsys, n, a, z):
         # The slope vector, the closed-form weights or a variance of the
         # report overflow.

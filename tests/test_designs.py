@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ from slopedesign.designs import (AdmissibleRegion, BoundaryPoint, Design,
 from slopedesign.elfving import certify
 
 from helpers import clear_caches
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference as R  # noqa: E402
 
 SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
@@ -207,6 +212,18 @@ class TestWeightFunctions:
         for rs in region.boundary_roots:
             assert len(rs) == n - 1
 
+    @pytest.mark.parametrize("n,z", [(2, 1e300), (5, 1e75)])
+    def test_finite_where_the_prefix_product_overflows(self, n, z):
+        # u * prod_{j<n} (u - s_j) overflows, yet each L_i'(z) is finite
+        # (about 2e302 to 6e302 at n = 5); the last one once read nan, as
+        # inf * 0.
+        problem = DesignProblem(n, 1.0)
+        ref = R.problem(n, 1.0).derivs(z)
+        for got, want in zip(basis_derivatives(problem, z), ref):
+            want = R.to_float(want)
+            assert math.isfinite(got)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
 
 class TestWeightsAt:
     def test_n1_trivial(self):
@@ -367,6 +384,11 @@ class TestAdmissibleRegion:
             except (NotCovered, BoundaryPoint):
                 covered = False
             assert (z in region) == covered, (u, z)
+
+    def test_collapsed_scaled_region_is_refused(self):
+        # At a subnormal a the scaled endpoints a * r merge.
+        with pytest.raises(ValueError, match="too small for n=30"):
+            admissible_region(DesignProblem(30, 1e-321))
 
 
 def _eager_region(n, a):

@@ -114,6 +114,27 @@ assert not missing, missing
     assert proc.returncode == 0, proc.stderr
 
 
+def test_restricted_route_is_pinned_to_the_support():
+    # restricted_weights solves on the closed-form support only, so it
+    # takes no support and has no singular one to report; Design checks
+    # its points and weights in its constructor alone.
+    proc = run_python("""
+import inspect
+import slopedesign
+import slopedesign.oracle as oracle
+from slopedesign import designs
+params = list(inspect.signature(oracle.restricted_weights).parameters)
+assert params == ["problem", "z"], params
+assert not hasattr(oracle, "SingularSupport")
+assert not hasattr(slopedesign, "SingularSupport")
+assert "SingularSupport" not in slopedesign.__all__
+for name in ("_check_points", "_check_weights"):
+    assert not hasattr(designs, name), name
+assert not hasattr(designs.Design, "_on_checked_points")
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_polynomial_module_holds_only_degenerate():
     # The benchmark's span installer imports slopedesign.polynomial by name.
     import slopedesign

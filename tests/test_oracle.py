@@ -12,8 +12,7 @@ from slopedesign.designs import (Design, DesignProblem, _unit_state,
                                  optimal_design, support_points, weights_at)
 from slopedesign.elfving import certify, variance
 from slopedesign.oracle import (GridSpec, NumericalFailure, OracleReport,
-                                SingularSupport, compare, lp_c_optimal,
-                                restricted_weights)
+                                compare, lp_c_optimal, restricted_weights)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import reference as R  # noqa: E402
@@ -130,8 +129,12 @@ class TestLpCOptimal:
         for n, z in [(2, 0.9), (3, 0.35), (4, 0.69), (3, 0.2), (4, 0.1)]:
             pr = DesignProblem(n, 1.0)
             h, _ = lp_c_optimal(pr, z, GridSpec(401))
-            rvar, _ = restricted_weights(pr, z, support_points(pr))
+            rvar, _ = restricted_weights(pr, z)
             assert h * h <= rvar + 1e-9
+
+    def test_grid_needs_n_plus_one_points(self):
+        with pytest.raises(ValueError, match="at least n\\+1 points"):
+            lp_c_optimal(DesignProblem(4, 1.0), 0.5, GridSpec(4))
 
     def test_grid_refinement_monotone(self):
         pr = DesignProblem(3, 1.0)
@@ -143,7 +146,7 @@ class TestLpCOptimal:
 
 class TestRestrictedWeights:
     def test_n1(self):
-        var, w = restricted_weights(DesignProblem(1, 2.0), 0.7, (2.0,))
+        var, w = restricted_weights(DesignProblem(1, 2.0), 0.7)
         assert w == (1.0,)
         assert var == pytest.approx(0.25, abs=1e-14)
 
@@ -175,47 +178,9 @@ class TestRestrictedWeights:
 
     def test_matches_closed_form_weights_inside_region(self):
         pr = DesignProblem(4, 1.0)
-        var, w = restricted_weights(pr, 0.25, support_points(pr))
+        var, w = restricted_weights(pr, 0.25)
         for got, want in zip(w, weights_at(pr, 0.25)):
             assert got == pytest.approx(want, abs=1e-10)
-
-    def test_singular_support_zero_point(self):
-        with pytest.raises(SingularSupport):
-            restricted_weights(DesignProblem(2, 1.0), 0.5, (0.0, 1.0))
-
-    def test_singular_support_coincident(self):
-        with pytest.raises(SingularSupport):
-            restricted_weights(DesignProblem(2, 1.0), 0.5, (0.5, 0.5 + 1e-13))
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            restricted_weights(DesignProblem(3, 1.0), 0.5, (0.5, 1.0))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_support_point_not_finite(self, bad):
-        # A nan point once gave (nan, (nan, nan, nan)).  The check runs at
-        # every call, before any state is built.
-        clear_caches()
-        for _ in range(3):
-            with pytest.raises(SingularSupport):
-                restricted_weights(DesignProblem(3, 1.0), 0.5,
-                                   (bad, 0.5, 1.0))
-        assert _unit_state.cache_info().currsize == 0
-
-    def test_singular_support_raises_at_every_call(self):
-        clear_caches()
-        problem = DesignProblem(2, 1.0)
-        for support in [(0.0, 1.0), (0.5, 0.5 + 1e-13)] * 2:
-            with pytest.raises(SingularSupport):
-                restricted_weights(problem, 0.5, support)
-        assert _unit_state.cache_info().currsize == 0
-
-    def test_support_of_any_sequence_type(self):
-        problem = DesignProblem(3, 1.0)
-        sup = support_points(problem)
-        want = restricted_weights(problem, 0.4, sup)
-        assert restricted_weights(problem, 0.4, list(sup)) == want
-        assert restricted_weights(problem, 0.4, np.array(sup)) == want
 
 
 class TestCompare:
@@ -488,10 +453,10 @@ class TestWarmStart:
     def test_scale_equivariant(self, a):
         unit = DesignProblem(3, 1.0)
         h1, _ = lp_c_optimal(unit, 0.5)
-        var1, _ = restricted_weights(unit, 0.5, support_points(unit))
+        var1, _ = restricted_weights(unit, 0.5)
         problem = DesignProblem(3, a)
         h, _ = lp_c_optimal(problem, a / 2)
-        var, _ = restricted_weights(problem, a / 2, support_points(problem))
+        var, _ = restricted_weights(problem, a / 2)
         assert h * a == pytest.approx(h1, rel=1e-12)
         assert var * a * a == pytest.approx(var1, rel=1e-12)
 
