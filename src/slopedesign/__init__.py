@@ -13,8 +13,9 @@ from .polynomial import Degenerate
 
 __version__ = "0.1.0"
 
-# The oracle module needs numpy, so its names are imported on first access
-# (PEP 562); the closed form and the certificate run without numpy.
+# The oracle module is the only one that imports numpy, so its names are
+# imported on first access (PEP 562); the closed form, the certificate and
+# the variance of any design run without numpy.
 _ORACLE_NAMES = frozenset({
     "GridSpec", "NumericalFailure", "OracleReport", "compare",
     "lp_c_optimal", "restricted_weights",

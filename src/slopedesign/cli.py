@@ -124,11 +124,19 @@ def _problem(args) -> DesignProblem:
     try:
         problem = DesignProblem(args.n, args.a)
         # Every command but plotdata --what extremal reads the region, which
-        # a subnormal a can collapse.
+        # a subnormal a can collapse, and all but it and region read the
+        # basis derivatives, whose scales D_i * a do not depend on z: one
+        # row shows whether any underflows to 0.
         if getattr(args, "what", None) != "extremal":
             admissible_region(problem)
+            if args.command != "region":
+                basis_derivatives(problem, 0.0)
     except ValueError as exc:
         raise _UsageExit(exc) from exc
+    except ZeroDivisionError as exc:
+        raise _UsageExit(f"a={problem.a!r} is too small for n={problem.n}: "
+                         "the scales of the basis derivatives underflow to "
+                         "0 when multiplied by it") from exc
     tol = getattr(args, "tol_cert", None)
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise _UsageExit("--tol-cert must be finite and > 0")
@@ -186,7 +194,7 @@ def _design_payload(problem, z, args, warnings):
         "covered": True,
         "points": list(design.points),
         "weights": list(design.weights),
-        "variance": cert.h ** 2,
+        "variance": cert.h * cert.h,
         "certificate": cert.as_dict(),
     }
     return payload, True
@@ -197,15 +205,12 @@ def _cmd_design(args) -> int:
     _check_grid_and_targets(args, 2)
     warnings: list[str] = []
     if args.z_list is not None:
-        zs = args.z_list
-        results = []
-        all_covered = True
-        for z in zs:
+        result, all_covered = [], True
+        for z in args.z_list:
             payload, covered = _design_payload(problem, z, args, warnings)
             payload["z"] = z
-            results.append(payload)
+            result.append(payload)
             all_covered = all_covered and covered
-        result = results
     else:
         result, all_covered = _design_payload(problem, args.z, args, warnings)
     inputs = {"n": args.n, "a": args.a, "grid": args.grid,
@@ -285,8 +290,8 @@ def _cmd_check(args) -> int:
     except ArithmeticError as exc:
         # h, and the variance of a design on the support, take the basis
         # derivatives at z, any other variance the slope vector: they
-        # overflow at a target of huge magnitude, and the former divide by
-        # 0 on an interval of subnormal length.
+        # overflow at a target of huge magnitude.  A scale of the former
+        # that underflows to 0 was refused by _problem.
         raise _out_of_range(args.z) from exc
     except ZOutsideRegion as exc:
         result = {"verdict": "z_outside_region",
@@ -301,27 +306,20 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def compare(problem, z: float, grid_points: int):
-    """The three-route cross-check of :mod:`slopedesign.oracle`, which is
-    imported here, on first use, because it needs numpy."""
-    from .oracle import GridSpec, compare
-    return compare(problem, z, GridSpec(grid_points))
-
-
 def _cmd_oracle(args) -> int:
-    from numpy.linalg import LinAlgError
-    from .oracle import NumericalFailure
+    # The oracle, the one module that needs numpy, is imported on first use.
+    from . import oracle
     problem = _problem(args)
     _check_grid_and_targets(args, args.n + 1)
     try:
-        report = compare(problem, args.z, args.grid)
+        report = oracle.compare(problem, args.z, oracle.GridSpec(args.grid))
     except OverflowError as exc:
         raise _UsageExit(f"z={args.z!r} is out of range: {exc}") from exc
     except MemoryError as exc:
         # The grid LP holds a few doubles per grid point and degree.
         raise _UsageExit(f"--grid {args.grid} is too large: the grid LP "
                          "does not fit in memory") from exc
-    except (NumericalFailure, LinAlgError) as exc:
+    except oracle.NumericalFailure as exc:
         raise _InternalError(exc) from exc
     except ValueError as exc:
         # The closed-form design's checks, as in _design_payload.
@@ -355,14 +353,6 @@ def _cmd_plotdata(args) -> int:
         lo, hi = region.intervals[0][1], region.intervals[-1][0]
         pad = 0.1 * (hi - lo)
         lo, hi = lo - pad, hi + pad
-    try:
-        # The scales D_i * a of the basis derivatives do not depend on z,
-        # so one row before the header shows whether any underflows to 0.
-        basis_derivatives(problem, lo)
-    except ZeroDivisionError as exc:
-        raise _UsageExit(f"a={problem.a!r} is too small for n={problem.n}: "
-                         "the scales of the basis derivatives underflow to "
-                         "0 when multiplied by it") from exc
     out.write("z," + ",".join(f"L{i}p" for i in range(1, problem.n + 1)) + "\n")
     for k in range(m):
         z = lo + (hi - lo) * k / (m - 1)

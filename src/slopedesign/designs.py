@@ -3,7 +3,8 @@
 The support is the set of extremal points of a rescaled Chebyshev polynomial,
 the weights come from the derivatives of the Lagrange basis without intercept,
 and the target points z for which this recipe is optimal form a union of n
-open intervals bounded by roots of those derivatives.
+open intervals bounded by roots of those derivatives.  All of it is sums and
+products over the n nodes, in pure Python; nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -242,17 +243,6 @@ class _UnitState:
 
     def _build_support_rows(self):
         return _rows_at(self.n, self.p, self.s)
-
-    def _build_inverse(self):
-        # G^-1 for the n x n matrix G of columns g(s_i), so that the
-        # oracle's restricted route solves G beta = c at every target on
-        # the support with one product; the variance takes beta_i = L_i'(z)
-        # instead.  G is well conditioned in the unit basis (1.6e2 at
-        # n = 12, 1.0e3 at n = 30).
-        import numpy as np
-        inverse = np.linalg.inv(basis.values(self.n, np.array(self.s)))
-        inverse.flags.writeable = False  # shared by every call
-        return inverse
 
 
 _unit_state = lru_cache(maxsize=256)(_UnitState)

@@ -6,22 +6,21 @@ support point, and reproduces c through the weighted support representation
 c = h * sum_i w_i f(x_i) * value_i.  The certificate here evaluates all three
 conditions numerically and reports the margins; when it verifies, h^2 equals
 the optimal variance.  The numerical checks work in the unit basis of
-:mod:`slopedesign.basis`.
+:mod:`slopedesign.basis`, in pure Python: nothing here imports numpy, and
+the variance of a design off the closed-form support is taken from a
+Householder QR of its weighted model vectors.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 from . import basis
 from ._record import Record
 from .designs import (Design, DesignProblem, _rows_at, _unit_state,
                       admissible_region, basis_derivatives, support_points)
-
-# numpy is imported inside the functions that build arrays only, so that the
-# certificate, the closed form and the variance of a design on its support
-# run without it.
 
 
 class ZOutsideRegion(Exception):
@@ -93,15 +92,21 @@ def variance(problem: DesignProblem, design: Design, z: float) -> float:
     G beta = c has the solution beta_i = L_i'(z), with G the nonsingular
     n x n matrix of model vectors, and M^-1 = G^-T W^-1 G^-1 gives
     c^T M^-1 c = sum_i L_i'(z)^2 / w_i, from
-    :func:`~slopedesign.designs.basis_derivatives`, with no matrix and no
-    numpy; it is inf where that sum leaves the float range.  Any other
-    design goes through the weighted square-root factor of M = B^T B, with
-    B built at each call in the unit basis of :mod:`slopedesign.basis`
-    (an entry that overflows is inf or nan): the minimum-norm solution of
-    B^T y = c gives c^T M^- c = |y|^2, whatever the generalized inverse,
-    and c is not estimable when the relative least-squares residual exceeds
-    1e-8.  Raises :class:`OverflowError` when that system is not finite,
-    such as when a design point lies far outside [0, a].
+    :func:`~slopedesign.designs.basis_derivatives`, with no matrix; it is
+    inf where that sum leaves the float range.  Any other design goes
+    through a Householder QR, B = QR, of the weighted rows
+    B_i = sqrt(w_i) g(x_i / a) in the unit basis of :mod:`slopedesign.basis`
+    (Golub & Van Loan, Matrix Computations, 4th ed., 2013, sec. 5.2), in
+    pure Python: the minimum-norm solution of B^T y = c gives
+    c^T M^- c = |y|^2 = |R^-T c|^2, whatever the generalized inverse.  A
+    row at x = 0 is 0 and is dropped.  With m rows left, the factorization
+    stops after k = min(m, n) reflections, or at the first column whose
+    remaining norm |R_jj| is at most eps max(m, n) |B|_F, where numpy's
+    lstsq cuts off singular values: B then has numerical rank k = j.  The
+    first k equations of R^T y = c are solved forward, and c is not
+    estimable when the other n - k leave a residual above 1e-8 of |c|.
+    Raises :class:`OverflowError` when B is not finite, such as when a
+    design point lies far outside [0, a].
     """
     if design.points == support_points(problem):
         # hypot scales its terms, so no square underflows, and a total
@@ -109,18 +114,39 @@ def variance(problem: DesignProblem, design: Design, z: float) -> float:
         root = math.hypot(*(d / math.sqrt(w) for d, w in zip(
             basis_derivatives(problem, z), design.weights)))
         return root * root
-    import numpy as np
     c, factor = _unit_slope(problem, z)
-    rows = np.array([basis.values(problem.n, x / problem.a)
-                     for x in design.points]).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        bt = rows * np.sqrt(design.weights)
-    if not np.isfinite(bt).all():
+    rows = [[math.sqrt(w) * g for g in basis.values(problem.n, x / problem.a)]
+            for x, w in zip(design.points, design.weights) if x]
+    size = math.hypot(*(v for row in rows for v in row))  # |B|_F
+    if not math.isfinite(size):
         raise OverflowError("the moment system is not finite")
-    y, *_ = np.linalg.lstsq(bt, c, rcond=None)
-    if np.linalg.norm(bt @ y - c) > _RTOL * np.linalg.norm(c):
+    # The columns of B, one per g_k; with no row, k = 0 and none is read.
+    cols = [list(col) for col in zip(*rows)] or [[]] * problem.n
+    k, y = min(len(rows), problem.n), []
+    for j in range(k):
+        x = cols[j]
+        alpha = -math.copysign(math.hypot(*x[j:]), x[j])
+        # lstsq's cutoff on singular values: below it B has rank j, and
+        # rows j.. of R^T y = c join the residual.
+        if abs(alpha) <= math.ulp(1.0) * max(len(rows), problem.n) * size:
+            k = j
+            break
+        # Column j holds R[:j, j] above alpha = R[j, j]: row j of R^T y = c.
+        y.append((c[j] - math.fsum(map(operator.mul, x, y))) / alpha)
+        # The reflection I - tau w w^T with w = (x - alpha e_j) / (x_j - alpha)
+        # and tau = (x_j - alpha) / -alpha maps the column x below row j to
+        # alpha e_j (Golub & Van Loan, Alg. 5.1.1).  |w_i| <= 1 = w_j, so no
+        # product with w underflows.
+        head = x[j] - alpha
+        w = [1.0] + [xi / head for xi in x[j + 1:]]
+        for col in cols[j + 1:]:
+            t = math.fsum(map(operator.mul, w, col[j:])) * (head / -alpha)
+            col[j:] = [ci - t * wi for ci, wi in zip(col[j:], w)]
+    residual = [cj - math.fsum(map(operator.mul, col, y))
+                for cj, col in zip(c[k:], cols[k:])]
+    if math.hypot(*residual) > _RTOL * math.hypot(*c):
         return math.inf
-    root = float(np.linalg.norm(y)) * factor
+    root = math.hypot(*y) * factor
     return root * root
 
 

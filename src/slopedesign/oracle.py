@@ -10,7 +10,8 @@ Two routes that do not use the closed-form weights:
 
 Neither is independent of the closed-form support: the grid is augmented
 with it and the first LP solve of a problem starts from its columns, and the
-fixed-support route is pinned to it.  Inside the admissible region all three
+fixed-support route is pinned to it.  This is the only module of the
+package that imports numpy.  Inside the admissible region all three
 routes must agree; outside, the LP beats the fixed support by a measurable
 margin, which is exactly the evidence that the closed form does not extend
 there.
@@ -18,15 +19,16 @@ there.
 The grid LP is the one LP solver here: a revised primal simplex on the grid
 matrix G alone, which starts from a kept basis and so never runs phase 1.
 Only the right-hand side c = f'(z) depends on the target, so each n x n
-matrix is inverted once and kept while it is in use: the fixed-support
-route reads the inverse that the unit state of the degree keeps for the
-closed-form support (the closed form's variance is a sum over the nodes and
-reads none), and the LP keeps one factor of its basis, B and B^-1, from
-which every solve starts.  A basic column that a new target drives
-negative is swapped for its mirror by negating its column of B and its row
-of B^-1, and the simplex prices with the kept B^-1; only a basis a pivot
-reached is inverted again.  A covered target
-after the first is then a few matrix-vector products, with no LAPACK call.
+matrix is inverted once and kept while it is in use: one factor of the
+closed-form support's columns, B and B^-1, is kept per problem, and both
+the LP's first basis and the fixed-support route read it (the closed
+form's variance is a sum over the nodes and reads none); the LP keeps one
+factor of its basis, first that one, from which every solve starts.  A
+basic column that a new target drives negative is swapped for its mirror
+by negating its column of B and its row of B^-1, and the simplex prices
+with the kept B^-1; only a basis a pivot reached is inverted again.  A
+covered target after the first is then a few matrix-vector products, with
+no LAPACK call.
 h is the correctly rounded sum of the basic values, so it depends only on
 the basis the LP ends on, not on how the LP got there.
 """
@@ -42,7 +44,7 @@ import numpy as np
 from . import basis as unit_basis  # `basis` names the LP basis here
 from ._record import Record
 from .designs import (BoundaryPoint, Design, DesignProblem, NotCovered,
-                      _unit_state, optimal_design, support_points)
+                      optimal_design, support_points)
 from .elfving import _unit_slope, variance
 
 
@@ -218,8 +220,10 @@ class _GridLP:
         self.points = np.unique(np.concatenate([grid.points(problem), support]))
         self.G = np.array(unit_basis.values(problem.n, self.points / problem.a))
         self.GT = self.G.T.copy()
-        self.factor = _factor(self.columns,
-                              np.searchsorted(self.points, support))
+        # The support's factor with its positions relabelled to grid
+        # indices, which keeps _factor's order: they rise as the positions.
+        order, *rest = _support_factor(problem)
+        self.factor = (np.searchsorted(self.points, support)[order], *rest)
         self.priced = False
 
     def columns(self, index) -> np.ndarray:
@@ -253,8 +257,11 @@ class _GridLP:
         positive = x > 1e-12 * x.sum()
         if positive.all():
             return order, x
-        return order[positive], np.linalg.lstsq(matrix[:, positive], rhs,
-                                                rcond=None)[0]
+        try:
+            return order[positive], np.linalg.lstsq(matrix[:, positive], rhs,
+                                                    rcond=None)[0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"degenerate optimum: {exc}") from exc
 
     def _restart(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         # x on the optimal basis the primal simplex reaches from the kept
@@ -290,6 +297,17 @@ class _GridLP:
 
 
 _grid_lp = lru_cache(maxsize=1)(_GridLP)  # (problem, grid) -> its LP
+
+
+@lru_cache(maxsize=1)
+def _support_factor(problem: DesignProblem) -> tuple:
+    # _factor of the columns g(x_i / a) at the closed-form support, with the
+    # positions 0..n-1 of its points as the basis: the grid LP's first
+    # basis, and the matrix whose inverse gives the restricted route's beta.
+    # Neither writes to its arrays.
+    u = np.asarray(support_points(problem)) / problem.a
+    columns = np.array(unit_basis.values(problem.n, u))
+    return _factor(lambda index: columns[:, index], range(problem.n))
 
 
 def lp_c_optimal(problem: DesignProblem, z: float,
@@ -331,19 +349,23 @@ def restricted_weights(problem: DesignProblem,
     support, pinned: the competitor that the optimal design beats outside
     the admissible region.
 
-    Solves G beta = c with G = (g(u_1) ... g(u_n)) at the unit nodes, in the
-    unit basis of :mod:`slopedesign.basis`; the variance sum_i beta_i^2 / w_i
-    is minimized by w_i proportional to |beta_i|, with minimum
-    (sum_i |beta_i|)^2.  beta is one product with the inverse of G that the
-    unit state of the degree keeps: a second construction, up to a common
-    factor, of the L_i'(z) from which :func:`~slopedesign.elfving.variance`
-    sums the closed form's variance.
+    Solves G beta = c with G = (g(u_1) ... g(u_n)) at the support's unit
+    points u_i = x_i / a, in the unit basis of :mod:`slopedesign.basis`;
+    the variance sum_i beta_i^2 / w_i is minimized by w_i proportional to
+    |beta_i|, with minimum (sum_i |beta_i|)^2, the sum taken with
+    math.fsum.  beta is one product with the inverse of G that the grid
+    LP's first basis keeps, for the same problem: a second construction, up
+    to a common factor, of the L_i'(z) from which
+    :func:`~slopedesign.elfving.variance` sums the closed form's variance.
+    The weights are in the order of the points.
     """
     rhs, factor = _unit_slope(problem, z)
-    beta = np.abs(_unit_state(problem.n).inverse @ rhs)
-    total = float(np.sum(beta))
+    order, _, inverse = _support_factor(problem)
+    # order[k] is the point of the k-th entry, so argsort puts them back.
+    beta = np.abs(inverse @ rhs)[np.argsort(order)].tolist()
+    total = math.fsum(beta)
     root = total * factor
-    return root * root, tuple(float(v) for v in beta / total)
+    return root * root, tuple(v / total for v in beta)
 
 
 def compare(problem: DesignProblem, z: float,
@@ -367,12 +389,11 @@ def compare(problem: DesignProblem, z: float,
     The closed-form variance, from :func:`~slopedesign.elfving.variance`,
     is a sum over the nodes with no matrix, so the 1e-9 check holds it
     against a second construction: the restricted route reads the inverse
-    that the unit state keeps for the closed-form support, and the LP that
-    of its kept basis.  A covered target calls no
-    LAPACK solve: a cold one inverts the unit state's matrix and the LP's
-    start, and a later one does only the work of z.
+    of the closed-form support's matrix that the LP's first basis keeps,
+    and the LP that of its kept basis.  A covered target calls no LAPACK
+    solve: a cold one inverts that one matrix, and a later one does only
+    the work of z.
     """
-    n = problem.n
     try:
         closed = optimal_design(problem, z)
     except (NotCovered, BoundaryPoint):
@@ -382,7 +403,7 @@ def compare(problem: DesignProblem, z: float,
     restricted_var, _ = restricted_weights(problem, z)
 
     margin_threshold = lp_var * min(1.0, max(
-        1e-6, 3.0 * (n * grid.spacing_fraction) ** 2))
+        1e-6, 3.0 * (problem.n * grid.spacing_fraction) ** 2))
 
     if closed is None:
         return OracleReport(False, None, lp_var, restricted_var, lp_design,

@@ -2,9 +2,10 @@
 
 
 def clear_caches():
-    """Empty the two caches of the package, the unit state of each degree
-    and the oracle's last grid LP, so that the next call starts cold as in
-    a new process."""
+    """Empty the three caches of the package, the unit state of each degree,
+    the oracle's last grid LP and the factor of its last support, so that
+    the next call starts cold as in a new process."""
     from slopedesign import designs, oracle
     designs._unit_state.cache_clear()
     oracle._grid_lp.cache_clear()
+    oracle._support_factor.cache_clear()

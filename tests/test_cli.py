@@ -115,6 +115,20 @@ class TestDesignCommand:
         assert all(e["certificate"]["verdict"] == "verified"
                    for e in doc["result"])
 
+    # The variance is the correctly rounded square of the emitted h, as
+    # h * h gives it.  At the first target of each batch h ** 2, through
+    # libm's pow, read one ulp above it.
+    @pytest.mark.parametrize("n,a,z", [
+        ("6", "1.098950260780936", "-0.159860259633928"),
+        ("4", "0.284829717230908", "-0.092085272368849")])
+    def test_variance_is_h_times_h(self, capsys, n, a, z):
+        code, doc, _ = run_json(capsys, "design", "--n", n, "--a", a,
+                                "--z-list", z, a)
+        assert code == 0
+        for entry in doc["result"]:
+            h = entry["certificate"]["h"]
+            assert entry["variance"] == h * h, entry["z"]
+
 
 class TestRegionCommand:
     def test_n4_reference(self, capsys):
@@ -177,7 +191,8 @@ class TestCheckCommand:
 
     # The region is valid and the points are distinct, but a scale D_i * a
     # of the basis derivatives underflows to 0, in the variance of a design
-    # on the support as in h: a usage error, with nothing on stdout.
+    # on the support as in h: a usage error naming a, which with n alone
+    # sets those scales, with nothing on stdout.
     @pytest.mark.parametrize("n,a", [(10, 1e-319), (20, 1e-314),
                                      (30, 1e-308)])
     def test_underflowing_scale_on_the_support_is_usage_error(
@@ -191,7 +206,24 @@ class TestCheckCommand:
                              "--z", repr(a), "--design", str(f))
         assert (code, out) == (64, "")
         assert err.count("\n") == 1
-        assert f"z={a!r}" in err
+        assert f"a={a!r} is too small for n={n}" in err
+
+    # design and oracle read the same scales, at a target inside the region
+    # and at one outside it, where design once reported "not covered" and
+    # the other commands blamed z: one check of (n, a) before any target.
+    @pytest.mark.parametrize("z", ["a", "-1"])
+    @pytest.mark.parametrize("command", ["design", "oracle"])
+    @pytest.mark.parametrize("n,a", [(10, 1e-319), (20, 1e-314),
+                                     (30, 1e-308)])
+    def test_underflowing_scale_names_a_in_every_command(self, capsys,
+                                                        command, n, a, z):
+        target = repr(a) if z == "a" else z
+        code, out, err = run(capsys, command, "--n", str(n), "--a", repr(a),
+                             "--z", target)
+        assert (code, out) == (64, "")
+        assert err.count("\n") == 1
+        assert f"a={a!r} is too small for n={n}" in err
+        assert "z=" not in err
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "check", "--n", "2", "--a", "1", "--z", "1",
@@ -418,28 +450,32 @@ def test_reader_closing_the_pipe_exits_0_silently():
 
 class TestInternalErrors:
     def test_numerical_failure_maps_to_exit_70(self, capsys, monkeypatch):
-        from slopedesign import cli
+        from slopedesign import oracle
         from slopedesign.oracle import NumericalFailure
 
         def boom(*args, **kwargs):
             raise NumericalFailure("synthetic failure")
 
-        monkeypatch.setattr(cli, "compare", boom)
+        monkeypatch.setattr(oracle, "compare", boom)
         code, out, err = run(capsys, "oracle", "--n", "2", "--a", "1", "--z", "1")
         assert code == 70
         assert out == ""
         assert "synthetic failure" in err
 
+    # LinAlgError subclasses ValueError, which the CLI reports as a usage
+    # error, so the oracle turns it into NumericalFailure.  At n = 2,
+    # z = 0.5 the grid LP ends on a degenerate optimum, which it solves by
+    # least squares on the positive columns.
     @pytest.mark.parametrize("name", ["LinAlgError"])
     def test_singular_systems_map_to_exit_70(self, capsys, monkeypatch, name):
         import numpy as np
-        from slopedesign import cli
 
         def boom(*args, **kwargs):
             raise getattr(np.linalg, name)("synthetic singular system")
 
-        monkeypatch.setattr(cli, "compare", boom)
-        code, out, err = run(capsys, "oracle", "--n", "2", "--a", "1", "--z", "1")
+        monkeypatch.setattr(np.linalg, "lstsq", boom)
+        code, out, err = run(capsys, "oracle", "--n", "2", "--a", "1",
+                             "--z", "0.5")
         assert code == 70
         assert out == ""
         assert "synthetic singular system" in err
@@ -716,10 +752,17 @@ class TestExtremeScalesVerify:
 class TestOverflowingTargets:
     """A target whose powers overflow exits 64, names itself, prints nothing."""
 
-    def _assert_rejected(self, code, out, err, z):
+    # At these (n, a) a scale D_i * a of basis_derivatives underflows to 0
+    # whatever z is, so the one check of (n, a) names a before any target.
+    SCALE_UNDERFLOWS = {("9", "1e-320"), ("30", "2.3e-308")}
+
+    def _assert_rejected(self, code, out, err, z, n=None, a=None):
         assert code == 64
         assert out == ""
         assert err.count("\n") == 1
+        if (n, a) in self.SCALE_UNDERFLOWS:
+            assert f"a={float(a)!r} is too small for n={n}" in err
+            return
         assert f"z={float(z)!r}" in err
         assert "not finite" in err
 
@@ -769,7 +812,7 @@ class TestOverflowingTargets:
         ("oracle", "30", "2.3e-308", "2.3e-308")])
     def test_edge_of_the_domain(self, capsys, command, n, a, z):
         code, out, err = run(capsys, command, "--n", n, "--a", a, "--z", z)
-        self._assert_rejected(code, out, err, z)
+        self._assert_rejected(code, out, err, z, n, a)
 
     @pytest.mark.parametrize("n,a,z", [("5", "1", "2e76"),
                                        ("30", "2.3e-308", "2.3e-308")])
@@ -782,4 +825,4 @@ class TestOverflowingTargets:
                      encoding="utf-8")
         code, out, err = run(capsys, "check", "--n", n, "--a", a, "--z", z,
                              "--design", str(f))
-        self._assert_rejected(code, out, err, z)
+        self._assert_rejected(code, out, err, z, n, a)

@@ -131,6 +131,18 @@ class TestVariance:
         assert variance(DesignProblem(2, 1.0), Design((1.0,), (1.0,)),
                         0.75) == math.inf
 
+    # A row of size 1e-100 beside one of size 1: the second column's
+    # remainder cancels to 0, below lstsq's cutoff, and the slope (1, 1) at
+    # z = a / 2 is the model vector at a, so c^T M^- c is exactly 1 / 0.5.
+    # A lone row of size 1e-200 spans no slope but its own direction, and
+    # no product of it with the reflection's vector may underflow to 0.
+    @pytest.mark.parametrize("a,points,weights,want", [
+        (1.0, (1e-100, 1.0), (0.5, 0.5), 2.0),
+        (1e300, (1e100,), (1.0,), math.inf)])
+    def test_point_near_0_off_the_support(self, a, points, weights, want):
+        got = variance(DesignProblem(2, a), Design(points, weights), a / 2)
+        assert got == pytest.approx(want / a / a, rel=1e-14)
+
     @pytest.mark.parametrize("n,a,z", [(5, 1.0, 1e75), (5, 1.0, -1e75),
                                        (5, 1.0, 1e77), (2, 1e80, 1e300)])
     def test_targets_of_huge_magnitude_on_the_support(self, n, a, z):
@@ -195,6 +207,40 @@ class TestVariance:
                     n, R.mp.mpf(z) / a, unit, design.weights) / R.mp.mpf(a) ** 2)
                 assert variance(problem, design, z) == pytest.approx(
                     want, rel=5e-14), (n, a, z)
+
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_off_the_support_matches_reference(self, n, a):
+        # Seeded designs of n and n - 1 points, and of n points of which
+        # the first is at 0, with seeded weights, at seeded targets and at
+        # a: the Householder route against the reference, which takes at
+        # most n points, none at 0 (a row there is 0 and is dropped).  It
+        # errs by at most 7.7e-10 here, on ill-conditioned designs of
+        # clustered points near n = 12, where numpy's lstsq erred by 3.9e-9;
+        # both give inf at the same 264 of 408 cases.
+        problem = DesignProblem(n, a)
+        rng = random.Random(1000 * n + round(math.log10(a)))
+        for m, zero in ((n, False), (n - 1, False), (n, True)):
+            if m < 1 or (zero and n == 1):
+                continue
+            points = sorted(rng.uniform(0.05, 1.0) * a for _ in range(m))
+            if zero:
+                points[0] = 0.0
+            w = [rng.uniform(0.1, 1.0) for _ in points]
+            design = Design(points, [x / math.fsum(w) for x in w])
+            kept = [(x, wx) for x, wx in zip(design.points, design.weights)
+                    if x]
+            unit = [R.mp.mpf(x) / a for x, _ in kept]
+            zs = [rng.uniform(-0.5, 1.7) * a for _ in range(3)] + [a]
+            for z in zs:
+                want = R.to_float(R.design_variance(
+                    n, R.mp.mpf(z) / a, unit, [wx for _, wx in kept])
+                    / R.mp.mpf(a) ** 2)
+                got = variance(problem, design, z)
+                if math.isinf(want):
+                    assert math.isinf(got), (m, zero, z)
+                else:
+                    assert got == pytest.approx(want, rel=1e-9), (m, zero, z)
 
 
 def _trig_extremal(problem, x):

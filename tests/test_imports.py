@@ -1,13 +1,13 @@
-"""numpy is loaded only by the code that works on arrays: design, region,
-plotdata and a check of a design on the closed-form support run without it.
-No command loads the exact-arithmetic modules fractions and decimal, and
-none loads dataclasses or inspect, which the records of the package do
-without.
+"""numpy is loaded only by the oracle, the one module that imports it:
+design, region, plotdata and a check of any design run without it.  No
+command loads the exact-arithmetic modules fractions and decimal, and none
+loads dataclasses or inspect, which the records of the package do without.
 
 Each check runs in a fresh interpreter, since this test process has numpy
 loaded already.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,33 +23,45 @@ def run_python(code: str) -> subprocess.CompletedProcess:
 
 
 NUMPY_FREE_COMMANDS = """
-import contextlib, io, os, sys, tempfile
+import contextlib, io, json, os, sys, tempfile
 import slopedesign
 from slopedesign import cli
 design = io.StringIO()
 with contextlib.redirect_stdout(design):
     assert cli.main(["design", "--n", "4", "--a", "1", "--z", "0.95"]) == 0
-fd, path = tempfile.mkstemp(suffix=".json")
-with os.fdopen(fd, "w") as fh:
-    fh.write(design.getvalue())
+paths = []
+# The design that design emits, on the closed-form support, and designs off
+# it with equal weights: n + 1 and 2n points, and n - 1 points, at which the
+# slope is not estimable.
+for doc in [design.getvalue()] + [
+        json.dumps({"points": [(k + 1) / m for k in range(m)],
+                    "weights": [1 / m] * m}) for m in (5, 8, 3)]:
+    fd, path = tempfile.mkstemp(suffix=".json")
+    with os.fdopen(fd, "w") as fh:
+        fh.write(doc)
+    paths.append(path)
 argvs = [
     ["design", "--n", "4", "--a", "1", "--z", "0.95"],
     ["design", "--n", "4", "--a", "1", "--z-list", "0.95", "0.2", "0.4"],
     ["region", "--n", "4", "--a", "1"],
     ["plotdata", "--n", "4", "--a", "1", "--what", "extremal"],
     ["plotdata", "--n", "4", "--a", "1", "--what", "weightderivs"],
-    ["check", "--n", "4", "--a", "1", "--z", "0.95", "--design", path],
-]
+] + [["check", "--n", "4", "--a", "1", "--z", "0.95", "--design", path]
+     for path in paths]
 try:
     for argv in argvs:
-        with contextlib.redirect_stdout(io.StringIO()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
             code = cli.main(argv)
         assert code in (0, 2), (argv, code)
+        if argv[-1] == paths[-1]:
+            assert json.loads(out.getvalue())["result"]["variance"] == "inf"
         for name in ("numpy", "fractions", "decimal", "dataclasses",
                      "inspect"):
             assert name not in sys.modules, (name, argv)
 finally:
-    os.remove(path)
+    for path in paths:
+        os.remove(path)
 """
 
 
@@ -142,3 +154,19 @@ def test_polynomial_module_holds_only_degenerate():
     names = [n for n in vars(polynomial) if not n.startswith("__")]
     assert names == ["Degenerate"]
     assert slopedesign.Degenerate is polynomial.Degenerate
+
+
+def test_only_the_oracle_imports_numpy():
+    # Read from the source, so that no import order can hide one.
+    importers = []
+    for path in sorted((SRC / "slopedesign").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["oracle.py"]

@@ -49,6 +49,7 @@ traced = fresh_region_rebuilds_the_state()
 assert tracer.totals["designs.admissible_region"][0] == 1
 from slopedesign import oracle
 assert oracle._grid_lp.cache_clear in traced
+assert oracle._support_factor.cache_clear in traced
 """
 
 
