@@ -5,10 +5,10 @@ numerical oracles."""
 from importlib import import_module as _import_module
 
 from .designs import (AdmissibleRegion, BoundaryPoint, Design, DesignProblem,
-                      NotCovered, admissible_region, basis_derivatives,
-                      optimal_design, support_points, weights_at)
-from .elfving import (ElfvingCertificate, ZOutsideRegion, certify,
-                      extremal_value, variance)
+                      DomainError, NotCovered, admissible_region,
+                      basis_derivatives, optimal_design, support_points,
+                      weights_at)
+from .elfving import ElfvingCertificate, certify, extremal_value, variance
 from .polynomial import Degenerate
 
 __version__ = "0.1.0"
@@ -33,8 +33,8 @@ def __getattr__(name):
 
 __all__ = [
     "AdmissibleRegion", "BoundaryPoint", "Degenerate", "Design",
-    "DesignProblem", "ElfvingCertificate", "GridSpec", "NotCovered",
-    "NumericalFailure", "OracleReport", "ZOutsideRegion",
+    "DesignProblem", "DomainError", "ElfvingCertificate", "GridSpec",
+    "NotCovered", "NumericalFailure", "OracleReport",
     "admissible_region", "basis_derivatives", "certify", "compare",
     "extremal_value", "lp_c_optimal", "optimal_design", "restricted_weights",
     "support_points", "variance", "weights_at",

@@ -4,6 +4,17 @@ Every successful structured command prints exactly one JSON document on
 stdout; ``plotdata`` prints CSV.  Diagnostics go to stderr.  Exit codes:
 0 success (also when the reader closes stdout early), 2 target point not
 covered, 64 usage, 65 bad input data, 70 internal numerical failure.
+
+Each limit has one exception type, raised where it is detected, and
+:func:`main` alone maps each to its exit code: a
+:class:`~slopedesign.designs.DomainError`, an input outside the domain that
+double precision can carry (its ``input`` names it: n, a, z or a flag), to
+64; a design file that cannot be used to 65; and a numerical breakdown,
+:class:`~slopedesign.polynomial.Degenerate` (which the oracle's
+``NumericalFailure`` is) or an ``ArithmeticError``, to 70.  The commands
+catch only :class:`~slopedesign.designs.NotCovered`, which ``design`` and
+``check`` report as a document with exit 2, the design file's errors, and
+the oracle's ``MemoryError``, which names ``--grid``.
 """
 
 from __future__ import annotations
@@ -15,9 +26,10 @@ import os
 import re
 import sys
 
-from .designs import (BoundaryPoint, DesignProblem, Design, NotCovered,
-                      admissible_region, basis_derivatives, optimal_design)
-from .elfving import ZOutsideRegion, certify, extremal_value, variance
+from .designs import (BoundaryPoint, Design, DesignProblem, DomainError,
+                      NotCovered, admissible_region, basis_derivatives,
+                      optimal_design)
+from .elfving import certify, extremal_value, variance
 from .polynomial import Degenerate
 
 EXIT_OK = 0
@@ -28,10 +40,6 @@ EXIT_INTERNAL = 70
 
 
 class _DataError(Exception):
-    pass
-
-
-class _InternalError(Exception):
     pass
 
 
@@ -121,50 +129,36 @@ def _emit(command: str, inputs: dict, result, warnings: list[str]) -> None:
 
 
 def _problem(args) -> DesignProblem:
-    try:
-        problem = DesignProblem(args.n, args.a)
-        # Every command but plotdata --what extremal reads the region, which
-        # a subnormal a can collapse, and all but it and region read the
-        # basis derivatives, whose scales D_i * a do not depend on z: one
-        # row shows whether any underflows to 0.
-        if getattr(args, "what", None) != "extremal":
-            admissible_region(problem)
-            if args.command != "region":
-                basis_derivatives(problem, 0.0)
-    except ValueError as exc:
-        raise _UsageExit(exc) from exc
-    except ZeroDivisionError as exc:
-        raise _UsageExit(f"a={problem.a!r} is too small for n={problem.n}: "
-                         "the scales of the basis derivatives underflow to "
-                         "0 when multiplied by it") from exc
+    problem = DesignProblem(args.n, args.a)
+    # Every command but plotdata --what extremal reads the region, which a
+    # subnormal a can collapse, and all but it and region read the basis
+    # derivatives, whose scales D_i * a do not depend on z: one row shows
+    # whether any underflows to 0.
+    if getattr(args, "what", None) != "extremal":
+        admissible_region(problem)
+        if args.command != "region":
+            basis_derivatives(problem, 0.0)
     tol = getattr(args, "tol_cert", None)
     if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise _UsageExit("--tol-cert must be finite and > 0")
+        raise DomainError("tol_cert", "--tol-cert must be finite and > 0")
     return problem
 
 
 def _check_grid_and_targets(args, min_grid: int) -> None:
     if args.grid < min_grid:
-        raise _UsageExit(f"--grid must be >= {min_grid}")
+        raise DomainError("grid", f"--grid must be >= {min_grid}")
     zs = [args.z] if getattr(args, "z_list", None) is None else args.z_list
     if not all(math.isfinite(z) for z in zs):
-        raise _UsageExit("target points must be finite")
-
-
-class _UsageExit(Exception):
-    pass
-
-
-def _out_of_range(z: float) -> _UsageExit:
-    return _UsageExit(f"z={z!r} is out of range: its slope vector, weights, "
-                      "h, variance or a certificate margin is not finite")
+        raise DomainError("z", "target points must be finite")
 
 
 def _require_finite(z: float, values) -> None:
-    # At a target of huge magnitude h, a variance or a margin overflows; no
+    # At a target of huge magnitude a variance or a margin overflows; no
     # JSON number can carry the result.
     if not all(math.isfinite(v) for v in values):
-        raise _out_of_range(z)
+        raise DomainError("z", f"z={z!r} is out of range: its slope vector, "
+                          "weights, h, variance or a certificate margin is "
+                          "not finite")
 
 
 def _cert_numbers(cert) -> tuple[float, ...]:
@@ -175,18 +169,12 @@ def _cert_numbers(cert) -> tuple[float, ...]:
 def _design_payload(problem, z, args, warnings):
     try:
         design = optimal_design(problem, z)
-    except BoundaryPoint as exc:
-        warnings.append(
-            f"z={z!r} lies on a region boundary (endpoint {exc.endpoint!r}); "
-            "a support weight vanishes there")
-        region = admissible_region(problem)
-        return {"covered": False, "region": _region_payload(region)}, False
     except NotCovered as exc:
+        if isinstance(exc, BoundaryPoint):
+            warnings.append(f"z={z!r} lies on a region boundary (endpoint "
+                            f"{exc.endpoint!r}); a support weight vanishes "
+                            "there")
         return {"covered": False, "region": _region_payload(exc.region)}, False
-    except ValueError as exc:
-        # The design's checks: weights that overflow at a target of huge
-        # magnitude, or on an interval of subnormal length, are not finite.
-        raise _out_of_range(z) from exc
     cert = certify(problem, z, design, grid_points=args.grid,
                    tol=args.tol_cert)
     _require_finite(z, _cert_numbers(cert))  # Design's weights are finite
@@ -283,17 +271,11 @@ def _cmd_check(args) -> int:
         raise _DataError(f"invalid design: {exc}") from exc
     inputs = {"n": args.n, "a": args.a, "z": args.z, "design": args.design,
               "grid": args.grid, "tol_cert": args.tol_cert}
+    var = variance(problem, design, args.z)
     try:
-        var = variance(problem, design, args.z)
         cert = certify(problem, args.z, design, grid_points=args.grid,
                        tol=args.tol_cert)
-    except ArithmeticError as exc:
-        # h, and the variance of a design on the support, take the basis
-        # derivatives at z, any other variance the slope vector: they
-        # overflow at a target of huge magnitude.  A scale of the former
-        # that underflows to 0 was refused by _problem.
-        raise _out_of_range(args.z) from exc
-    except ZOutsideRegion as exc:
+    except NotCovered as exc:
         result = {"verdict": "z_outside_region",
                   "region": _region_payload(exc.region),
                   "variance": _endpoint(var)}
@@ -313,17 +295,10 @@ def _cmd_oracle(args) -> int:
     _check_grid_and_targets(args, args.n + 1)
     try:
         report = oracle.compare(problem, args.z, oracle.GridSpec(args.grid))
-    except OverflowError as exc:
-        raise _UsageExit(f"z={args.z!r} is out of range: {exc}") from exc
     except MemoryError as exc:
         # The grid LP holds a few doubles per grid point and degree.
-        raise _UsageExit(f"--grid {args.grid} is too large: the grid LP "
-                         "does not fit in memory") from exc
-    except oracle.NumericalFailure as exc:
-        raise _InternalError(exc) from exc
-    except ValueError as exc:
-        # The closed-form design's checks, as in _design_payload.
-        raise _out_of_range(args.z) from exc
+        raise DomainError("grid", f"--grid {args.grid} is too large: the "
+                          "grid LP does not fit in memory") from exc
     _require_finite(args.z, (report.lp_variance, report.restricted_variance,
                              report.closed_form_variance or 0.0,
                              report.margin_threshold))
@@ -336,28 +311,34 @@ def _cmd_plotdata(args) -> int:
     problem = _problem(args)
     m = args.samples
     if m < 2:
-        raise _UsageExit("--samples must be >= 2")
-    out = sys.stdout
-    if args.what == "extremal":
-        out.write("x,S\n")
-        for k in range(m):
-            x = problem.a * k / (m - 1)
-            out.write(f"{x:.17g},{extremal_value(problem, x):.17g}\n")
-        return EXIT_OK
-    if problem.n == 1:
-        lo, hi = 0.0, problem.a
-    else:
+        raise DomainError("samples", "--samples must be >= 2")
+    # Both sample sets are formed on an a scaled below 1 by an exact power
+    # of two, as GridSpec.points forms the oracle's grid, so (hi - lo) * k
+    # cannot overflow, and each sample is the float the unscaled formula
+    # gives wherever that does not overflow.  The extremal curve's x stays
+    # in [0, a], which rounding can pass at the last sample, and z stays
+    # below the largest float, which the padded window of weightderivs
+    # passes at the largest a.
+    extremal = args.what == "extremal"
+    e = max(math.frexp(problem.a)[1], 0)
+    lo, hi = 0.0, math.ldexp(problem.a, -e)
+    top = hi if extremal else math.ldexp(sys.float_info.max, -e)
+    if not extremal and problem.n > 1:
         # The smallest boundary root is the first root of L_n', the largest
         # the last root of L_1': the inner ends of the two outer intervals.
         region = admissible_region(problem)
-        lo, hi = region.intervals[0][1], region.intervals[-1][0]
+        lo, hi = (math.ldexp(v, -e) for v in (region.intervals[0][1],
+                                              region.intervals[-1][0]))
         pad = 0.1 * (hi - lo)
         lo, hi = lo - pad, hi + pad
-    out.write("z," + ",".join(f"L{i}p" for i in range(1, problem.n + 1)) + "\n")
+    out = sys.stdout
+    out.write("x,S\n" if extremal else
+              "z," + ",".join(f"L{i}p" for i in range(1, problem.n + 1)) + "\n")
     for k in range(m):
-        z = lo + (hi - lo) * k / (m - 1)
-        row = ",".join(f"{v:.17g}" for v in basis_derivatives(problem, z))
-        out.write(f"{z:.17g},{row}\n")
+        x = math.ldexp(min(lo + (hi - lo) * k / (m - 1), top), e)
+        values = ((extremal_value(problem, x),) if extremal
+                  else basis_derivatives(problem, x))
+        out.write(f"{x:.17g}," + ",".join(f"{v:.17g}" for v in values) + "\n")
     return EXIT_OK
 
 
@@ -433,13 +414,13 @@ def main(argv=None) -> int:
         # choice and not an error.  Later flushes go to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except _UsageExit as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (_InternalError, Degenerate, ArithmeticError) as exc:
+    except (Degenerate, ArithmeticError) as exc:
         print(f"internal numerical failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -18,6 +18,18 @@ from ._record import Record
 from .polynomial import Degenerate
 
 
+class DomainError(ValueError):
+    """An input lies outside the domain that double precision can carry.
+
+    ``input`` names it: ``"n"``, ``"a"`` or ``"z"``, or for the command
+    line the flag (``"grid"``, ``"samples"``, ``"tol_cert"``).
+    """
+
+    def __init__(self, input: str, message: str):
+        super().__init__(message)
+        self.input = input
+
+
 class NotCovered(Exception):
     """z lies outside the admissible region; no closed-form design exists."""
 
@@ -27,12 +39,12 @@ class NotCovered(Exception):
         self.region = region
 
 
-class BoundaryPoint(Exception):
+class BoundaryPoint(NotCovered):
     """z coincides with a finite region endpoint; a weight degenerates to 0."""
 
-    def __init__(self, z: float, endpoint: float):
-        super().__init__(f"z={z!r} coincides with region endpoint {endpoint!r}")
-        self.z = z
+    def __init__(self, z: float, region: "AdmissibleRegion", endpoint: float):
+        super().__init__(z, region)
+        self.args = (f"z={z!r} coincides with region endpoint {endpoint!r}",)
         self.endpoint = endpoint
 
 
@@ -51,7 +63,7 @@ class DesignProblem(Record):
         except TypeError:
             index = None
         if index is None or isinstance(n, bool) or index < 1:
-            raise ValueError("n must be an integer >= 1")
+            raise DomainError("n", "n must be an integer >= 1")
         real = math.nan
         if isinstance(a, (int, float)) and not isinstance(a, bool):
             try:
@@ -59,7 +71,7 @@ class DesignProblem(Record):
             except OverflowError:  # an int beyond the float range
                 pass
         if not (math.isfinite(real) and real > 0):
-            raise ValueError("a must be a finite positive real")
+            raise DomainError("a", "a must be a finite positive real")
         super().__init__(index, real)
 
 
@@ -275,6 +287,8 @@ def basis_derivatives(problem: DesignProblem, z: float) -> tuple[float, ...]:
     products run over the nodes on [0, 1] and the result is scaled by 1 / a.
     At a target of huge magnitude a value beyond the float range is +/-inf,
     never nan: no product of an overflowed factor with a zero is formed.
+    A scale D_i * a that is 0 raises :class:`DomainError`, naming n when
+    the unit denominator D_i is 0 (from n = 543), and a otherwise.
     """
     state = _unit_state(problem.n)
     s, denoms = state.s, state.denoms
@@ -290,21 +304,49 @@ def basis_derivatives(problem: DesignProblem, z: float) -> tuple[float, ...]:
     # At the last index q = 1 and dq = 0, so the derivative is dp alone:
     # p * dq there would be inf * 0 = nan once the prefix product overflows.
     out = [0.0] * len(s)
-    out[-1] = dp[-1] / (denoms[-1] * a)
-    q, dq = d[-1], 1.0
-    for i in range(len(s) - 2, -1, -1):
-        out[i] = (dp[i] * q + p[i] * dq) / (denoms[i] * a)
-        dq = dq * d[i] + q
-        q *= d[i]
+    try:
+        out[-1] = dp[-1] / (denoms[-1] * a)
+        q, dq = d[-1], 1.0
+        for i in range(len(s) - 2, -1, -1):
+            out[i] = (dp[i] * q + p[i] * dq) / (denoms[i] * a)
+            dq = dq * d[i] + q
+            q *= d[i]
+    except ZeroDivisionError:
+        # D_i is a product of n - 1 node differences below 1, and it alone
+        # underflows from n = 543.
+        if 0.0 in denoms:
+            raise DomainError("n", f"n={problem.n} is too large: the "
+                              "denominators D_i of the basis derivatives "
+                              "underflow to 0") from None
+        raise DomainError("a", f"a={a!r} is too small for n={problem.n}: "
+                          "the scales of the basis derivatives underflow to "
+                          "0 when multiplied by it") from None
     return tuple(out)
 
 
-def weights_at(problem: DesignProblem, z: float) -> tuple[float, ...]:
-    """Normalized absolute basis-derivative values |L_i'(z)| / sum_j |L_j'(z)|."""
-    # The basis reproduces x, sum_i s_i L_i'(z) = 1, so the total is at
-    # least 1 / a and never zero.
+def _abs_derivatives(problem: DesignProblem,
+                     z: float) -> tuple[list[float], float]:
+    # |L_i'(z)| and their total: the weights' denominator and the h of the
+    # certificate.  The basis reproduces x, sum_i s_i L_i'(z) = 1, so the
+    # total is at least 1 / a and never zero.
     vals = [abs(v) for v in basis_derivatives(problem, z)]
-    total = math.fsum(vals)
+    try:
+        total = math.fsum(vals)
+    except OverflowError:  # finite values whose sum leaves the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError("z", f"z={z!r} is out of range: weights must be "
+                          "finite, and h, the total of |L_i'(z)|, is not "
+                          "finite")
+    return vals, total
+
+
+def weights_at(problem: DesignProblem, z: float) -> tuple[float, ...]:
+    """Normalized absolute basis-derivative values |L_i'(z)| / sum_j |L_j'(z)|.
+
+    Raises :class:`DomainError` naming z where that total is not finite.
+    """
+    vals, total = _abs_derivatives(problem, z)
     return tuple(v / total for v in vals)
 
 
@@ -341,41 +383,42 @@ def admissible_region(problem: DesignProblem) -> AdmissibleRegion:
     so only those two root sets are solved here.  Each root is solved on
     [0, 1], once per n, to the rounding level of double precision, and
     scaled by a at each call; a subnormal a that merges two scaled endpoints
-    raises :class:`ValueError`.
+    raises :class:`DomainError`.
     """
     a = problem.a
     ends = [a * x for x in _unit_state(problem.n).ends]
     if not all(map(operator.lt, ends, ends[1:])):
-        raise ValueError(f"a={a!r} is too small for n={problem.n}: the "
-                         "admissible intervals collapse when scaled by it")
+        raise DomainError("a", f"a={a!r} is too small for n={problem.n}: the "
+                          "admissible intervals collapse when scaled by it")
     return AdmissibleRegion(a, tuple(zip(ends[::2], ends[1::2])))
+
+
+def _interval(problem: DesignProblem, z: float) -> int:
+    # The 1-based index of the interval that holds z, for optimal_design and
+    # certify alike.
+    region = admissible_region(problem)
+    kind, info = region.locate(z)
+    if kind == "boundary":
+        raise BoundaryPoint(z, region, info)
+    if kind == "outside":
+        raise NotCovered(z, region)
+    return info
 
 
 def optimal_design(problem: DesignProblem, z: float) -> Design:
     """The closed-form optimal design for slope estimation at z.
 
     For n = 1 all mass sits at a regardless of z.  For n > 1 the design exists
-    only for z strictly inside the admissible region; :class:`NotCovered` and
-    :class:`BoundaryPoint` report the other cases explicitly; the boundary
-    band is that of :meth:`AdmissibleRegion.locate`.  The design is built
-    by :class:`Design`, which checks its points and weights at every call;
-    a target of such magnitude, or an interval so short, that the weights
-    are not finite raises :class:`ValueError`, as does an a so small that
-    two scaled support points merge.
+    only for z strictly inside the admissible region; :class:`NotCovered`
+    reports the other cases, and its subclass :class:`BoundaryPoint` a z on
+    a finite endpoint, within the band of :meth:`AdmissibleRegion.locate`.
+    A target of such magnitude, or an interval so short, that the weights
+    are not finite raises :class:`DomainError`, as :func:`weights_at` does;
+    :class:`Design` raises :class:`ValueError` should a subnormal a merge
+    two support points.
     """
     if problem.n == 1:
         return Design(support_points(problem), (1.0,))
-    region = admissible_region(problem)
-    kind, info = region.locate(z)
-    if kind == "boundary":
-        raise BoundaryPoint(z, info)
-    if kind == "outside":
-        raise NotCovered(z, region)
-    try:
-        weights = weights_at(problem, z)
-    except ArithmeticError as exc:
-        # A basis derivative or their sum overflows, or a scale D_i * a of
-        # basis_derivatives underflows to 0: the weights are not finite.
-        raise ValueError("weights must be finite") from exc
+    _interval(problem, z)
     # Design checks the points too: a subnormal a can merge two of them.
-    return Design(support_points(problem), weights)
+    return Design(support_points(problem), weights_at(problem, z))

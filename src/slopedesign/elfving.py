@@ -19,17 +19,9 @@ from functools import lru_cache
 
 from . import basis
 from ._record import Record
-from .designs import (Design, DesignProblem, _rows_at, _unit_state,
-                      admissible_region, basis_derivatives, support_points)
-
-
-class ZOutsideRegion(Exception):
-    """z is not interior to any admissible interval; no h is defined."""
-
-    def __init__(self, z: float, region):
-        super().__init__(f"z={z!r} is not interior to the admissible region")
-        self.z = z
-        self.region = region
+from .designs import (Design, DesignProblem, DomainError, _abs_derivatives,
+                      _interval, _rows_at, _unit_state, basis_derivatives,
+                      support_points)
 
 
 class ElfvingCertificate(Record):
@@ -80,7 +72,8 @@ def _unit_slope(problem: DesignProblem, z: float) -> tuple[tuple, float]:
     c = basis.slope(problem.n, z / problem.a)
     scale = max(abs(ck) for ck in c)
     if not math.isfinite(scale):
-        raise OverflowError("the slope vector is not finite")
+        raise DomainError("z", f"z={z!r} is out of range: the slope vector "
+                          "is not finite")
     return tuple(ck / scale for ck in c), scale / problem.a
 
 
@@ -104,9 +97,11 @@ def variance(problem: DesignProblem, design: Design, z: float) -> float:
     remaining norm |R_jj| is at most eps max(m, n) |B|_F, where numpy's
     lstsq cuts off singular values: B then has numerical rank k = j.  The
     first k equations of R^T y = c are solved forward, and c is not
-    estimable when the other n - k leave a residual above 1e-8 of |c|.
-    Raises :class:`OverflowError` when B is not finite, such as when a
-    design point lies far outside [0, a].
+    estimable when the other n - k leave a residual above 1e-8 of |c|; a
+    slope vector that is not finite raises
+    :class:`~slopedesign.designs.DomainError`.  Raises
+    :class:`OverflowError` when B is not finite, such as when a design point
+    lies far outside [0, a].
     """
     if design.points == support_points(problem):
         # hypot scales its terms, so no square underflows, and a total
@@ -185,18 +180,15 @@ def certify(problem: DesignProblem, z: float, design: Design,
     is divided by the size of its terms, |g_k'(u_z)| + a h sum_i
     |w_i g_k(u_i)|, so its margin has no units.  Every margin is compared
     with ``tol``.  z is located in the region as in
-    :func:`~slopedesign.designs.optimal_design`.
+    :func:`~slopedesign.designs.optimal_design`: outside the intervals
+    :class:`~slopedesign.designs.NotCovered` is raised, and where h is not
+    finite :class:`~slopedesign.designs.DomainError`, naming z.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     n = problem.n
-    region = admissible_region(problem)
-    kind, j = region.locate(z)
-    if kind != "inside":
-        raise ZOutsideRegion(z, region)
-
-    abs_sum = math.fsum(abs(v) for v in basis_derivatives(problem, z))
-    h_signed = (-1.0) ** (n + j) * abs_sum
+    j = _interval(problem, z)
+    h_signed = (-1.0) ** (n + j) * _abs_derivatives(problem, z)[1]
     sign = 1.0 if h_signed > 0 else -1.0
     h = abs(h_signed)
 

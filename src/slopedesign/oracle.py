@@ -43,14 +43,16 @@ import numpy as np
 
 from . import basis as unit_basis  # `basis` names the LP basis here
 from ._record import Record
-from .designs import (BoundaryPoint, Design, DesignProblem, NotCovered,
-                      optimal_design, support_points)
+from .designs import (Design, DesignProblem, NotCovered, optimal_design,
+                      support_points)
 from .elfving import _unit_slope, variance
+from .polynomial import Degenerate
 
 
-class NumericalFailure(RuntimeError):
+class NumericalFailure(Degenerate):
     """The simplex exceeded its iteration cap or ended on a singular basis
-    (hard bug signal)."""
+    (hard bug signal); a :class:`Degenerate`, as every numerical breakdown
+    of the package is."""
 
 
 class GridSpec(Record):
@@ -396,7 +398,7 @@ def compare(problem: DesignProblem, z: float,
     """
     try:
         closed = optimal_design(problem, z)
-    except (NotCovered, BoundaryPoint):
+    except NotCovered:
         closed = None
     h_lp, lp_design = lp_c_optimal(problem, z, grid)
     lp_var = h_lp * h_lp  # inf beyond the float range, where ** raises

@@ -1,6 +1,8 @@
-"""The failure raised when a root computation of the region breaks down."""
+"""The failure raised when a computation of the package breaks down."""
 
 
 class Degenerate(RuntimeError):
-    """A root computation failed: an admissible interval came out empty or
-    overlapping, or a root solver did not converge."""
+    """A computation broke down: an admissible interval came out empty or
+    overlapping, a root solver did not converge, or, as its subclass
+    :class:`~slopedesign.oracle.NumericalFailure`, the oracle's simplex
+    failed."""

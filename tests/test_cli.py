@@ -369,11 +369,12 @@ class TestPlotdataCommand:
             assert math.copysign(1.0, v) == (-1.0) ** (4 - i)
 
     @pytest.mark.parametrize("n", range(1, 31))
-    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8, 1e300])
     def test_weightderivs_range_spans_all_boundary_roots(self, capsys, n, a):
         # The z-range runs from the smallest to the largest root of every
         # basis derivative, padded by a tenth on each side; the inner ends
-        # of the outer intervals are those two roots, bit for bit.
+        # of the outer intervals are those two roots, bit for bit.  Where
+        # nothing overflows, the samples are those of this unscaled formula.
         from slopedesign import DesignProblem, basis_derivatives
         problem = DesignProblem(n, a)
         roots = [r for rs in admissible_region(problem).boundary_roots
@@ -425,6 +426,44 @@ class TestPlotdataCommand:
         assert err.count("\n") == 1
         assert f"a={float(a)!r}" in err
 
+    # Where a * k does not overflow, the samples are a * k / (m - 1).
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8, 1e300])
+    def test_extremal_samples_are_the_unscaled_formula(self, capsys, n, a):
+        from slopedesign import extremal_value
+        problem = DesignProblem(n, a)
+        rows = ["x,S"]
+        for k in range(500):
+            x = a * k / 499
+            rows.append(f"{x:.17g},{extremal_value(problem, x):.17g}")
+        code, out, _ = run(capsys, "plotdata", "--n", str(n), "--a", repr(a),
+                           "--what", "extremal")
+        assert code == 0
+        assert out == "\n".join(rows) + "\n"
+
+    # Near the top of the float range a * k and (hi - lo) * k overflow, so
+    # the samples are formed on a scaled below 1; at the largest a the
+    # padded weightderivs window ends beyond the float range, and its last
+    # samples are the largest float.
+    @pytest.mark.parametrize("what", ["extremal", "weightderivs"])
+    @pytest.mark.parametrize("a", [1e306, 1.7e308])
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    def test_samples_near_the_top_of_the_float_range(self, capsys, n, a,
+                                                     what):
+        code, out, _ = run(capsys, "plotdata", "--n", str(n), "--a", repr(a),
+                           "--what", what)
+        assert code == 0
+        rows = [list(map(float, ln.split(",")))
+                for ln in out.splitlines()[1:]]
+        assert len(rows) == 500
+        assert all(math.isfinite(v) for row in rows for v in row)
+        xs = [row[0] for row in rows]
+        if what == "extremal":
+            assert xs[0] == 0.0 and xs[-1] <= a
+            assert all(x < y for x, y in zip(xs, xs[1:]))
+        else:
+            assert all(x <= y for x, y in zip(xs, xs[1:]))
+
     def test_newline_terminated_deterministic(self, capsys):
         _, out1, _ = run(capsys, "plotdata", "--n", "2", "--a", "1",
                          "--what", "extremal", "--samples", "10")
@@ -462,8 +501,8 @@ class TestInternalErrors:
         assert out == ""
         assert "synthetic failure" in err
 
-    # LinAlgError subclasses ValueError, which the CLI reports as a usage
-    # error, so the oracle turns it into NumericalFailure.  At n = 2,
+    # LinAlgError subclasses ValueError, which the CLI maps to no exit code,
+    # so the oracle turns it into NumericalFailure, a Degenerate.  At n = 2,
     # z = 0.5 the grid LP ends on a degenerate optimum, which it solves by
     # least squares on the positive columns.
     @pytest.mark.parametrize("name", ["LinAlgError"])
@@ -614,6 +653,20 @@ class TestUsageErrors:
 
 class TestLargeDegree:
     """Every n is accepted: no degree cap, one JSON document, exit 0 or 2."""
+
+    # From n = 543 the unit denominators D_i underflow to 0 at every a, so
+    # each command that reads the basis derivatives names n, and not a.
+    @pytest.mark.parametrize("a", ["1", "1e-8"])
+    @pytest.mark.parametrize("argv", [["design", "--z", "1"],
+                                      ["oracle", "--z", "0"],
+                                      ["plotdata", "--what", "weightderivs"]],
+                             ids=["design", "oracle", "plotdata"])
+    def test_underflowing_denominators_name_n(self, capsys, argv, a):
+        code, out, err = run(capsys, argv[0], "--n", "543", "--a", a,
+                             *argv[1:])
+        assert (code, out) == (64, "")
+        assert err.count("\n") == 1
+        assert "n=543" in err and "a=" not in err
 
     @pytest.mark.parametrize("n", [21, 25, 30])
     def test_design_region_check(self, capsys, tmp_path, n):

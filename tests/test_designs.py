@@ -7,11 +7,11 @@ import pytest
 
 from slopedesign import designs
 from slopedesign.designs import (AdmissibleRegion, BoundaryPoint, Design,
-                                 DesignProblem, NotCovered, _rolle_root,
-                                 _unit_state, admissible_region,
+                                 DesignProblem, DomainError, NotCovered,
+                                 _rolle_root, _unit_state, admissible_region,
                                  basis_derivatives, optimal_design,
                                  support_points, weights_at)
-from slopedesign.elfving import certify
+from slopedesign.elfving import certify, variance
 
 from helpers import clear_caches
 
@@ -44,12 +44,11 @@ def problem(n, a=1.0):
 
 class TestTypes:
     def test_problem_validation(self):
-        with pytest.raises(ValueError):
-            DesignProblem(0, 1.0)
-        with pytest.raises(ValueError):
-            DesignProblem(2, 0.0)
-        with pytest.raises(ValueError):
-            DesignProblem(2, math.inf)
+        # DomainError is a ValueError that names the input.
+        for n, a, name in [(0, 1.0, "n"), (2, 0.0, "a"), (2, math.inf, "a")]:
+            with pytest.raises(DomainError) as err:
+                DesignProblem(n, a)
+            assert err.value.input == name
 
     @pytest.mark.parametrize("a", [10**400, -10**400])
     def test_problem_rejects_int_beyond_float_range(self, a):
@@ -387,8 +386,9 @@ class TestAdmissibleRegion:
 
     def test_collapsed_scaled_region_is_refused(self):
         # At a subnormal a the scaled endpoints a * r merge.
-        with pytest.raises(ValueError, match="too small for n=30"):
+        with pytest.raises(DomainError, match="too small for n=30") as err:
             admissible_region(DesignProblem(30, 1e-321))
+        assert err.value.input == "a"
 
 
 def _eager_region(n, a):
@@ -469,9 +469,62 @@ class TestOptimalDesign:
         assert isinstance(err.value.region, AdmissibleRegion)
 
     def test_boundary_reported(self):
+        # A boundary point is one more target the region does not cover,
+        # and carries the region as NotCovered does.
         region = admissible_region(problem(3))
-        with pytest.raises(BoundaryPoint):
+        with pytest.raises(BoundaryPoint) as err:
             optimal_design(problem(3), region.intervals[1][0])
+        assert isinstance(err.value, NotCovered)
+        assert err.value.region == region
+        assert err.value.endpoint == region.intervals[1][0]
+
+
+class TestDomainErrors:
+    """Each limit of (n, a, z) raises DomainError, a ValueError that names
+    the input, from every layer that reaches it: no bare ZeroDivisionError
+    or OverflowError."""
+
+    @staticmethod
+    def _raises(call, name):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert type(err.value) is DomainError, repr(err.value)
+        assert err.value.input == name
+
+    # A scale D_i * a of the basis derivatives is 0 whatever z is: at a
+    # subnormal (or nearly subnormal) a the product with a underflows, and
+    # from n = 543 the unit denominator D_i does, at any a.
+    @pytest.mark.parametrize("n,a,name", [(9, 1e-320, "a"),
+                                          (30, 2.3e-308, "a"),
+                                          (543, 1.0, "n")])
+    def test_scale_limit(self, n, a, name):
+        pr = DesignProblem(n, a)
+        on_support = Design(support_points(pr), [1.0 / n] * n)
+        for call in (lambda: basis_derivatives(pr, a),
+                     lambda: weights_at(pr, a),
+                     lambda: optimal_design(pr, a),
+                     lambda: certify(pr, a, on_support),
+                     lambda: variance(pr, on_support, a)):
+            self._raises(call, name)
+
+    def test_target_limit(self):
+        # At z = 1e300 the basis derivatives overflow to +/-inf, which
+        # basis_derivatives and the variance on the support report as such
+        # (inf is the variance's value beyond the float range); every layer
+        # that needs the finite total h, or the slope vector, refuses z.
+        from slopedesign import oracle
+        pr, z = DesignProblem(4, 1.0), 1e300
+        on_support = Design(support_points(pr), [0.25] * 4)
+        derivs = basis_derivatives(pr, z)
+        assert not any(map(math.isnan, derivs))
+        assert not all(map(math.isfinite, derivs))
+        assert variance(pr, on_support, z) == math.inf
+        for call in (lambda: weights_at(pr, z),
+                     lambda: optimal_design(pr, z),
+                     lambda: certify(pr, z, on_support),
+                     lambda: oracle.restricted_weights(pr, z),
+                     lambda: oracle.compare(pr, z)):
+            self._raises(call, "z")
 
 
 class TestRealRoots:

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from slopedesign import basis, designs
-from slopedesign.designs import (Design, DesignProblem, _unit_state,
-                                 admissible_region, optimal_design,
-                                 support_points)
-from slopedesign.elfving import (ElfvingCertificate, ZOutsideRegion, certify,
-                                 extremal_value, variance)
+from slopedesign.designs import (Design, DesignProblem, NotCovered,
+                                 _unit_state, admissible_region,
+                                 optimal_design, support_points)
+from slopedesign.elfving import (ElfvingCertificate, certify, extremal_value,
+                                 variance)
 
 from helpers import clear_caches
 
@@ -327,7 +327,7 @@ class TestCertify:
     def test_z_outside_region_raises(self):
         pr = DesignProblem(3, 1.0)
         d = optimal_design(pr, 1.0)
-        with pytest.raises(ZOutsideRegion):
+        with pytest.raises(NotCovered):
             certify(pr, 0.2, d)
 
     def test_h_positive_in_every_interval(self):
@@ -360,12 +360,11 @@ class TestCertify:
         assert isinstance(cert, ElfvingCertificate)
 
     def test_overflowing_residual_fails(self):
-        # At z = 1e300 and a = 1 the slope g'(z / a) overflows, so the
-        # residual is nan; a nan among finite residuals must not pass.  The
-        # closed-form weights overflow there too, and optimal_design refuses
-        # them, so the design is that of z = a.
-        pr = DesignProblem(4, 1.0)
-        cert = certify(pr, 1e300, optimal_design(pr, 1.0))
+        # At z = 1e202 and a = 1e100, h = 4.38e208 is finite but the slope
+        # g'(z / a) overflows, so the residual is nan; a nan among finite
+        # residuals must not pass.  The design is that of z = a.
+        pr = DesignProblem(4, 1e100)
+        cert = certify(pr, 1e202, optimal_design(pr, 1e100))
         assert math.isnan(cert.condition3_residual)
         assert cert.verdict == "failed"
 
