@@ -15,6 +15,11 @@ double precision can carry (its ``input`` names it: n, a, z or a flag), to
 catch only :class:`~slopedesign.designs.NotCovered`, which ``design`` and
 ``check`` report as a document with exit 2, the design file's errors, and
 the oracle's ``MemoryError``, which names ``--grid``.
+
+Each command takes only the flags it reads: ``region`` takes ``--n`` and
+``--a``, ``--tol-cert`` belongs to ``design`` and ``check``, whose
+certificates take no grid, and ``--grid`` to ``oracle``, whose LP does.
+Any other flag is a usage error.
 """
 
 from __future__ import annotations
@@ -144,9 +149,7 @@ def _problem(args) -> DesignProblem:
     return problem
 
 
-def _check_grid_and_targets(args, min_grid: int) -> None:
-    if args.grid < min_grid:
-        raise DomainError("grid", f"--grid must be >= {min_grid}")
+def _check_targets(args) -> None:
     zs = [args.z] if getattr(args, "z_list", None) is None else args.z_list
     if not all(math.isfinite(z) for z in zs):
         raise DomainError("z", "target points must be finite")
@@ -166,17 +169,22 @@ def _cert_numbers(cert) -> tuple[float, ...]:
             *cert.condition2_residuals, cert.condition3_residual)
 
 
+def _missed_region(exc: NotCovered, warnings: list[str]) -> list:
+    # The region that z misses, for the result of design or check; a z on a
+    # region boundary also gets a warning.
+    if isinstance(exc, BoundaryPoint):
+        warnings.append(f"z={exc.z!r} lies on a region boundary (endpoint "
+                        f"{exc.endpoint!r}); a support weight vanishes there")
+    return _region_payload(exc.region)
+
+
 def _design_payload(problem, z, args, warnings):
     try:
         design = optimal_design(problem, z)
     except NotCovered as exc:
-        if isinstance(exc, BoundaryPoint):
-            warnings.append(f"z={z!r} lies on a region boundary (endpoint "
-                            f"{exc.endpoint!r}); a support weight vanishes "
-                            "there")
-        return {"covered": False, "region": _region_payload(exc.region)}, False
-    cert = certify(problem, z, design, grid_points=args.grid,
-                   tol=args.tol_cert)
+        return {"covered": False,
+                "region": _missed_region(exc, warnings)}, False
+    cert = certify(problem, z, design, tol=args.tol_cert)
     _require_finite(z, _cert_numbers(cert))  # Design's weights are finite
     payload = {
         "covered": True,
@@ -190,7 +198,7 @@ def _design_payload(problem, z, args, warnings):
 
 def _cmd_design(args) -> int:
     problem = _problem(args)
-    _check_grid_and_targets(args, 2)
+    _check_targets(args)
     warnings: list[str] = []
     if args.z_list is not None:
         result, all_covered = [], True
@@ -201,8 +209,7 @@ def _cmd_design(args) -> int:
             all_covered = all_covered and covered
     else:
         result, all_covered = _design_payload(problem, args.z, args, warnings)
-    inputs = {"n": args.n, "a": args.a, "grid": args.grid,
-              "tol_cert": args.tol_cert}
+    inputs = {"n": args.n, "a": args.a, "tol_cert": args.tol_cert}
     if args.z_list is not None:
         inputs["z_list"] = args.z_list
     else:
@@ -253,7 +260,7 @@ def _numbers(key: str, values) -> list:
 
 def _cmd_check(args) -> int:
     problem = _problem(args)
-    _check_grid_and_targets(args, 2)
+    _check_targets(args)
     warnings: list[str] = []
     points, weights = _load_design_file(args.design)
     if not all(math.isfinite(v) for v in points + weights):
@@ -270,14 +277,13 @@ def _cmd_check(args) -> int:
     except ValueError as exc:
         raise _DataError(f"invalid design: {exc}") from exc
     inputs = {"n": args.n, "a": args.a, "z": args.z, "design": args.design,
-              "grid": args.grid, "tol_cert": args.tol_cert}
+              "tol_cert": args.tol_cert}
     var = variance(problem, design, args.z)
     try:
-        cert = certify(problem, args.z, design, grid_points=args.grid,
-                       tol=args.tol_cert)
+        cert = certify(problem, args.z, design, tol=args.tol_cert)
     except NotCovered as exc:
         result = {"verdict": "z_outside_region",
-                  "region": _region_payload(exc.region),
+                  "region": _missed_region(exc, warnings),
                   "variance": _endpoint(var)}
         _emit("check", inputs, result, warnings)
         return EXIT_NOT_COVERED
@@ -292,7 +298,9 @@ def _cmd_oracle(args) -> int:
     # The oracle, the one module that needs numpy, is imported on first use.
     from . import oracle
     problem = _problem(args)
-    _check_grid_and_targets(args, args.n + 1)
+    if args.grid < args.n + 1:
+        raise DomainError("grid", f"--grid must be >= {args.n + 1}")
+    _check_targets(args)
     try:
         report = oracle.compare(problem, args.z, oracle.GridSpec(args.grid))
     except MemoryError as exc:
@@ -342,18 +350,14 @@ def _cmd_plotdata(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, with_z=True, with_tols=True):
+def _add_common(p, with_z=True, with_tol=True):
     p.add_argument("--n", type=int, required=True, help="polynomial degree (>= 1)")
     p.add_argument("--a", type=float, required=True, help="right interval endpoint (> 0)")
     if with_z:
         p.add_argument("--z", type=float, help="target point for the slope")
-    if with_tols:
+    if with_tol:
         p.add_argument("--tol-cert", dest="tol_cert", type=float, default=1e-10,
                        help="certificate margin tolerance (finite, > 0)")
-        p.add_argument("--grid", type=int, default=2001,
-                       help="checked (>= 2) and echoed in inputs; no "
-                            "certificate reads it, since condition 1 takes "
-                            "no grid (only the oracle's LP does)")
 
 
 def _build_parser() -> _Parser:
@@ -369,7 +373,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_design)
 
     p = sub.add_parser("region", help="admissible z-intervals and boundary roots")
-    _add_common(p, with_z=False)
+    _add_common(p, with_z=False, with_tol=False)
     p.set_defaults(handler=_cmd_region)
 
     p = sub.add_parser("check", help="certify a design read from a JSON file")
@@ -379,14 +383,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="cross-check closed form vs LP and "
                                       "restricted-weight oracles")
-    _add_common(p, with_tols=False)
+    _add_common(p, with_tol=False)
     p.add_argument("--grid", type=int, default=2001,
                    help="grid points of the LP (>= n + 1)")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("plotdata", help="CSV curves (extremal polynomial or "
                                         "basis derivatives)")
-    _add_common(p, with_z=False, with_tols=False)
+    _add_common(p, with_z=False, with_tol=False)
     p.add_argument("--what", choices=("extremal", "weightderivs"), required=True)
     p.add_argument("--samples", type=int, default=500)
     p.set_defaults(handler=_cmd_plotdata)

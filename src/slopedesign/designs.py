@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import basis
 from ._record import Record
@@ -157,26 +157,22 @@ class AdmissibleRegion(Record):
 class _UnitState:
     """The problem of degree n on [0, 1], which every [0, a] scales: the
     support is a * s, the region endpoints are a * r, and the extremal
-    polynomial is S(x / a).  Each field is built on its first read, by the
-    method ``_build_<field>``, and kept; no caller pays for one it skips.
+    polynomial is S(x / a).  Each field is a cached property, built on its
+    first read and kept; no caller pays for one it skips.
     """
 
     def __init__(self, n: int):
         self.n = n
 
-    def __getattr__(self, name: str):
-        # Only a field not built yet comes here; another name raises.
-        value = getattr(type(self), "_build_" + name)(self)
-        setattr(self, name, value)
-        return value
-
-    def _build_s(self):
+    @cached_property
+    def s(self):
         n = self.n
         c = math.cos(math.pi / (2 * n))
         return tuple((math.cos((n - k) * math.pi / n) + c) / (1.0 + c)
                      for k in range(1, n + 1))
 
-    def _build_denoms(self):
+    @cached_property
+    def denoms(self):
         # D_i = s_i prod_{j != i} (s_i - s_j) of the basis L_i = g_i / D_i.
         s = self.s
         return tuple(si * math.prod(si - sj for sj in s[:i] + s[i + 1:])
@@ -189,7 +185,8 @@ class _UnitState:
         zeros = (0.0,) + self.s[:i] + self.s[i + 1:]
         return tuple(_rolle_root(zeros, k) for k in range(self.n - 1))
 
-    def _build_ends(self):
+    @cached_property
+    def ends(self):
         # Interval j runs from the (j-1)-th root of L_1' to the j-th root of
         # L_n', so the endpoints, -inf and inf at the ends, alternate between
         # the two sets.
@@ -200,12 +197,14 @@ class _UnitState:
             raise Degenerate(f"degree {self.n}: region intervals overlap")
         return tuple(ends)
 
-    def _build_roots(self):
+    @cached_property
+    def roots(self):
         n, ends = self.n, self.ends[1:-1]
         return tuple(ends[1::2] if i == 0 else ends[0::2] if i == n - 1
                      else self._roots_of(i) for i in range(n))
 
-    def _build_p(self):
+    @cached_property
+    def p(self):
         # The coefficients p_1..p_n of the extremal polynomial on the unit
         # basis, S(u) = T_n((1 + c) u - c) = sum_k p_k g_k(u) with
         # c = cos(pi / 2n).  S(0) = 0, so S(u) / u = sum_k p_k T_{k-1}(2u - 1)
@@ -237,7 +236,8 @@ class _UnitState:
         p[0] *= 0.5
         return tuple(p)
 
-    def _build_cond1(self):
+    @cached_property
+    def cond1(self):
         # max |S| - 1 over [0, 1], taken at 0, at 1, at the interior nodes
         # and at the critical points of S.  For the exact p those are the
         # nodes; a sign change of S' across each bracket between 0, the
@@ -253,7 +253,8 @@ class _UnitState:
         return max(map(abs, basis.series(p, (0.0, 1.0, *inner,
                                              *critical)))) - 1.0
 
-    def _build_support_rows(self):
+    @cached_property
+    def support_rows(self):
         return _rows_at(self.n, self.p, self.s)
 
 

@@ -5,10 +5,11 @@ model span stays within [-1, 1] on the design space, hits +/-1 at every
 support point, and reproduces c through the weighted support representation
 c = h * sum_i w_i f(x_i) * value_i.  The certificate here evaluates all three
 conditions numerically and reports the margins; when it verifies, h^2 equals
-the optimal variance.  The numerical checks work in the unit basis of
-:mod:`slopedesign.basis`, in pure Python: nothing here imports numpy, and
-the variance of a design off the closed-form support is taken from a
-Householder QR of its weighted model vectors.
+the optimal variance.  No grid enters it: condition 1 takes the sup of the
+polynomial at its critical points.  The numerical checks work in the unit
+basis of :mod:`slopedesign.basis`, in pure Python: nothing here imports
+numpy, and the variance of a design off the closed-form support is taken
+from a Householder QR of its weighted model vectors.
 """
 
 from __future__ import annotations
@@ -154,8 +155,7 @@ def extremal_value(problem: DesignProblem, x: float) -> float:
     return basis.series(_unit_state(problem.n).p, (float(x) / problem.a,))[0]
 
 
-def certify(problem: DesignProblem, z: float, design: Design,
-            grid_points: int = 2001,
+def certify(problem: DesignProblem, z: float, design: Design, *,
             tol: float = 1e-10) -> ElfvingCertificate:
     """Evaluate the three optimality conditions for ``design`` at target z.
 
@@ -166,8 +166,7 @@ def certify(problem: DesignProblem, z: float, design: Design,
     reached: at 0, at a and at the n - 1 critical points, which
     :func:`slopedesign.basis.local_extrema` refines inside brackets around
     the interior support points; the support points themselves are
-    evaluated too.  No grid enters it: ``grid_points`` is still checked
-    (>= 2), but nothing here reads it; only the oracle's LP takes a grid.
+    evaluated too, so no grid enters it; only the oracle's LP takes one.
     When the derivative does not change sign across every bracket, the
     polynomial is not the extremal one, and the margin is inf.  Conditions
     (1) and (2) evaluate the emitted coefficients p on the unit basis of
@@ -184,8 +183,6 @@ def certify(problem: DesignProblem, z: float, design: Design,
     :class:`~slopedesign.designs.NotCovered` is raised, and where h is not
     finite :class:`~slopedesign.designs.DomainError`, naming z.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
     n = problem.n
     j = _interval(problem, z)
     h_signed = (-1.0) ** (n + j) * _abs_derivatives(problem, z)[1]

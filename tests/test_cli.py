@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from slopedesign.cli import main
+from slopedesign.cli import _build_parser, main
 from slopedesign.designs import (DesignProblem, admissible_region,
                                  support_points)
 
@@ -188,6 +189,25 @@ class TestCheckCommand:
                                 "--z", "0.2", "--design", str(f))
         assert code == 2
         assert doc["result"]["verdict"] == "z_outside_region"
+        assert doc["warnings"] == []
+
+    def test_z_on_a_region_boundary_warns_as_design_does(self, capsys,
+                                                          tmp_path):
+        # check of the emitted n = 3 design at the upper end of the first
+        # interval: the verdict and exit 2 of any target outside the
+        # region, and the warning that design gives for that target.
+        z = repr(admissible_region(DesignProblem(3, 1.0)).intervals[0][1])
+        _, out, _ = run(capsys, "design", "--n", "3", "--a", "1", "--z", "1")
+        f = tmp_path / "design.json"
+        f.write_text(out, encoding="utf-8")
+        code, doc, _ = run_json(capsys, "check", "--n", "3", "--a", "1",
+                                "--z", z, "--design", str(f))
+        assert code == 2
+        assert doc["result"]["verdict"] == "z_outside_region"
+        _, designed, _ = run_json(capsys, "design", "--n", "3", "--a", "1",
+                                  "--z", z)
+        assert len(designed["warnings"]) == 1
+        assert doc["warnings"] == designed["warnings"]
 
     # The region is valid and the points are distinct, but a scale D_i * a
     # of the basis derivatives underflows to 0, in the variance of a design
@@ -559,24 +579,6 @@ class TestUsageErrors:
         assert out.out == ""
         assert out.err.startswith("error: ")
 
-    @pytest.mark.parametrize("n, grid", [(4, "0"), (4, "1"), (1, "0")])
-    def test_design_grid_below_two(self, capsys, n, grid):
-        code, out, err = run(capsys, "design", "--n", str(n), "--a", "1",
-                             "--z", "0.95", "--grid", grid)
-        assert code == 64
-        assert out == ""
-        assert "--grid" in err
-
-    def test_check_grid_below_two(self, capsys, tmp_path):
-        f = tmp_path / "d.json"
-        f.write_text(json.dumps({"points": [SQRT2 - 1, 1.0],
-                                 "weights": [0.5, 0.5]}), encoding="utf-8")
-        code, out, err = run(capsys, "check", "--n", "2", "--a", "1",
-                             "--z", "1", "--design", str(f), "--grid", "1")
-        assert code == 64
-        assert out == ""
-        assert "--grid" in err
-
     def test_oracle_grid_below_n_plus_one(self, capsys):
         code, out, err = run(capsys, "oracle", "--n", "4", "--a", "1",
                              "--z", "0.5", "--grid", "3")
@@ -628,20 +630,70 @@ class TestUsageErrors:
         assert out == ""
         assert f"{flag} must be finite and > 0" in err
 
+    DESIGN = ["design", "--n", "4", "--a", "1", "--z", "0.95"]
+    REGION = ["region", "--n", "4", "--a", "1"]
+    CHECK = ["check", "--n", "2", "--a", "1", "--z", "1", "--design", "d.json"]
+
+    # Flags that changed no output and are gone: --tol-root everywhere, the
+    # certificate's --grid (no grid enters it) and region's --tol-cert.
     @pytest.mark.parametrize("argv", [
-        ["design", "--n", "4", "--a", "1", "--z", "0.95"],
-        ["region", "--n", "4", "--a", "1"],
-        ["check", "--n", "2", "--a", "1", "--z", "1", "--design", "d.json"],
+        DESIGN + ["--tol-root", "1e-12"],
+        REGION + ["--tol-root", "1e-12"],
+        CHECK + ["--tol-root", "1e-12"],
+        pytest.param(DESIGN + ["--grid", "2001"], id="design-grid"),
+        pytest.param(CHECK + ["--grid", "2001"], id="check-grid"),
+        pytest.param(REGION + ["--grid", "2001"], id="region-grid"),
+        pytest.param(REGION + ["--tol-cert", "nan"], id="region-tol-cert"),
     ])
     def test_tol_root_is_removed(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
-            main(argv + ["--tol-root", "1e-12"])
+            main(argv)
         assert err.value.code == 64
         out = capsys.readouterr()
         assert out.out == ""
-        assert "--tol-root" in out.err
+        assert out.err.count("\n") == 1
+        assert argv[-2] in out.err
 
-    def test_region_and_check_tolerances(self, capsys, tmp_path):
+    def test_each_command_takes_the_flags_it_reads(self, capsys, tmp_path):
+        # The options of every subcommand are exactly the values its handler
+        # reads, 20 in all: a flag that nothing reads is a usage error, not
+        # a knob that is checked and echoed.
+        class Reads:
+            def __init__(self, values):
+                self.values, self.read = values, set()
+
+            def __getattr__(self, name):
+                if name not in self.values:
+                    raise AttributeError(name)
+                self.read.add(name)
+                return self.values[name]
+
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps({"points": [SQRT2 - 1, 1.0],
+                                 "weights": [0.5, 0.5]}), encoding="utf-8")
+        extra = {"design": ["--z", "1"], "region": [],
+                 "check": ["--z", "1", "--design", str(f)],
+                 "oracle": ["--z", "1"],
+                 "plotdata": ["--what", "extremal", "--samples", "3"]}
+        parser = _build_parser()
+        commands = next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert set(commands) == set(extra)
+        total = 0
+        for command, sub in commands.items():
+            flags = {action.dest for action in sub._actions
+                     if action.option_strings and action.dest != "help"}
+            args = parser.parse_args([command, "--n", "2", "--a", "1",
+                                      *extra[command]])
+            reads = Reads(vars(args))
+            assert args.handler(reads) == 0, command
+            assert reads.read - {"command", "handler"} == flags, command
+            total += len(flags)
+        capsys.readouterr()
+        assert total == 20
+
+    def test_check_tolerance_must_be_finite_and_positive(self, capsys,
+                                                          tmp_path):
         f = tmp_path / "d.json"
         f.write_text(json.dumps({"points": [SQRT2 - 1, 1.0],
                                  "weights": [0.5, 0.5]}), encoding="utf-8")

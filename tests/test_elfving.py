@@ -368,12 +368,16 @@ class TestCertify:
         assert math.isnan(cert.condition3_residual)
         assert cert.verdict == "failed"
 
-    def test_grid_below_two_rejected(self):
+    def test_refuses_the_grid_points_keyword(self):
+        # No grid enters the certificate, so certify takes none; tol is
+        # keyword-only, so a grid size passed in its old place is refused
+        # rather than read as a tolerance.
         pr = DesignProblem(3, 1.0)
         d = optimal_design(pr, 1.0)
-        for m in (0, 1):
-            with pytest.raises(ValueError, match="grid_points"):
-                certify(pr, 1.0, d, grid_points=m)
+        with pytest.raises(TypeError, match="grid_points"):
+            certify(pr, 1.0, d, grid_points=2001)
+        with pytest.raises(TypeError):
+            certify(pr, 1.0, d, 2001)
 
 
 @pytest.fixture
@@ -382,7 +386,7 @@ def swap_p(monkeypatch):
     clear on the way in and one on the way out empty every field read from
     it."""
     def install(p):
-        monkeypatch.setattr(designs._UnitState, "_build_p", lambda state: p)
+        monkeypatch.setattr(designs._UnitState, "p", property(lambda state: p))
         clear_caches()
     yield install
     clear_caches()
@@ -424,15 +428,10 @@ class TestCertifyCache:
         assert (info.misses, info.currsize) == (1, 1)
 
     def test_keyed_by_degree_alone(self):
-        # The margin is taken from the critical points of S, not from a
-        # grid, so one entry per n serves every grid_points.
         clear_caches()
         z = 0.95
-        d = optimal_design(self.PROBLEM, z)
-        base = certify(self.PROBLEM, z, d)
-        coarse = certify(self.PROBLEM, z, d, grid_points=11)
+        base = certify(self.PROBLEM, z, optimal_design(self.PROBLEM, z))
         assert _unit_state.cache_info().misses == 1
-        assert coarse == base
         # The same n on another interval shares the entry: the problem is
         # scale-equivariant, and p holds coefficients on g_k(x / a).
         scaled = DesignProblem(4, 1e6)
@@ -673,14 +672,16 @@ class TestGridFreeCondition1:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
     def test_margin_does_not_depend_on_the_grid(self, n):
+        # The margin is the unit state's, built once per degree with no
+        # grid: cold and warm certificates agree.
         problem = DesignProblem(n, 1.0)
         design = optimal_design(problem, 1.0)
-        certs = []
-        for m in (2, 11, 2001):
-            clear_caches()
-            certs.append(certify(problem, 1.0, design, grid_points=m))
-        assert certs[0] == certs[1] == certs[2]
-        assert certs[0].verifies
+        clear_caches()
+        cold = certify(problem, 1.0, design)
+        assert _unit_state.cache_info().misses == 1
+        assert cold.condition1_margin == _unit_state(n).cond1
+        assert certify(problem, 1.0, design) == cold
+        assert cold.verifies
 
     @pytest.mark.parametrize("n", [2, 3, 9])
     def test_broken_bracket_pattern_fails(self, n, swap_p):
