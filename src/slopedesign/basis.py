@@ -5,8 +5,8 @@ It spans the model x, ..., x^n without intercept, and |g_k| <= 1 on [0, 1]
 whatever a is.  Both c^T M^- c and Elfving's representation
 c = h sum_i w_i v_i f(x_i) are invariant under an invertible change of basis
 (Pukelsheim, Optimal Design of Experiments, 1993, ch. 2-3).  values and
-slope take a float or a numpy array for u and return a list of the n
-entries; series evaluates a series sum_k y_k g_k(u), and local_extrema finds
+slope return a list of the n entries; values takes a float or a numpy array
+for u, slope only a float.  series evaluates a series sum_k y_k g_k(u), and local_extrema finds
 its critical points by bracketed_newton, the root finder that the region's
 roots use too.  All use arithmetic only (no numpy import).
 """
@@ -33,7 +33,7 @@ def slope(n: int, u):
     of the Chebyshev polynomials follow T_{m+1}' = 2 T_m + 2t T_m' - T_{m-1}'.
     """
     t = 2.0 * u - 1.0
-    out = [u ** 0]  # 1.0, or ones of the shape of an array u
+    out = [1.0]
     t_prev, t_cur = 1.0, t
     d_prev, d_cur = 0.0, 1.0
     for _ in range(n - 1):

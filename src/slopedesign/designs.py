@@ -409,17 +409,16 @@ def _interval(problem: DesignProblem, z: float) -> int:
 def optimal_design(problem: DesignProblem, z: float) -> Design:
     """The closed-form optimal design for slope estimation at z.
 
-    For n = 1 all mass sits at a regardless of z.  For n > 1 the design exists
-    only for z strictly inside the admissible region; :class:`NotCovered`
-    reports the other cases, and its subclass :class:`BoundaryPoint` a z on
-    a finite endpoint, within the band of :meth:`AdmissibleRegion.locate`.
+    The design exists only for z strictly inside the admissible region;
+    :class:`NotCovered` reports the other cases, and its subclass
+    :class:`BoundaryPoint` a z on a finite endpoint, within the band of
+    :meth:`AdmissibleRegion.locate`.  For n = 1 the region is the whole
+    line and all mass sits at a.
     A target of such magnitude, or an interval so short, that the weights
     are not finite raises :class:`DomainError`, as :func:`weights_at` does;
     :class:`Design` raises :class:`ValueError` should a subnormal a merge
     two support points.
     """
-    if problem.n == 1:
-        return Design(support_points(problem), (1.0,))
     _interval(problem, z)
     # Design checks the points too: a subnormal a can merge two of them.
     return Design(support_points(problem), weights_at(problem, z))

@@ -18,15 +18,17 @@ there.
 
 The grid LP is the one LP solver here: a revised primal simplex on the grid
 matrix G alone, which starts from a kept basis and so never runs phase 1.
-Only the right-hand side c = f'(z) depends on the target, so each n x n
-matrix is inverted once and kept while it is in use: one factor of the
-closed-form support's columns, B and B^-1, is kept per problem, and both
-the LP's first basis and the fixed-support route read it (the closed
-form's variance is a sum over the nodes and reads none); the LP keeps one
-factor of its basis, first that one, from which every solve starts.  A
-basic column that a new target drives negative is swapped for its mirror
-by negating its column of B and its row of B^-1, and the simplex prices
-with the kept B^-1; only a basis a pivot reached is inverted again.  A
+A basis is n grid points, each with the sign v_i = +/-1 of Elfving's
+representation.  Only the right-hand side c = f'(z) depends on the target,
+so each n x n matrix is inverted once and kept while it is in use: one
+factor of the closed-form support's columns, B and B^-1, is kept per
+problem, and both the LP's first basis and the fixed-support route read it
+(the closed form's variance is a sum over the nodes and reads none); the
+LP keeps one factor of the unsigned columns of its basis, first that one,
+from which every solve starts, and the signs beside it.  A basic point
+whose value a new target drives negative has its sign flipped, which
+touches neither B nor B^-1, and the simplex prices with the kept B^-1,
+its rows signed; only a basis a pivot reached is inverted again.  A
 covered target after the first is then a few matrix-vector products, with
 no LAPACK call.
 h is the correctly rounded sum of the basic values, so it depends only on
@@ -123,9 +125,11 @@ _TOL = 1e-9
 
 
 def _ratio_test(d: np.ndarray, rhs: np.ndarray,
-                basis: list[int]) -> tuple[int, bool]:
+                basis: list) -> tuple[int, bool]:
     # The leaving row for the entering column d = B^-1 a_j, and whether the
-    # step is degenerate.
+    # step is degenerate.  A tie goes to the smaller basis entry: the order
+    # of the entries is the one total order of the columns that Bland's
+    # rule needs.
     best_key = None
     best_row = -1
     for i, (a, r) in enumerate(zip(d.tolist(), rhs.tolist())):
@@ -138,23 +142,16 @@ def _ratio_test(d: np.ndarray, rhs: np.ndarray,
     return best_row, best_key[0] <= 0.0
 
 
-def _factor(columns, basis: list[int]) -> tuple:
-    # The columns of a final basis in a canonical order, their matrix B and
-    # B^-1, from which every x on that basis is taken: x then depends only on
-    # the basis and not on the pivots that led there.  The order sorts the
-    # columns by their magnitudes, lexicographically from the first row,
-    # then by index, so that a column and its negation take the same place:
-    # LU with partial pivoting rounds alike in either sign, so negating some
-    # columns of the basis negates those columns of B and rows of B^-1
-    # exactly.  columns(index) gives the columns of the constraint matrix at
-    # the indices.
+def _factor(basis, matrix: np.ndarray) -> tuple:
+    # The columns of matrix at the indices of a final basis, in the order
+    # given, their matrix B and B^-1, from which every x on that basis is
+    # taken: x then depends only on the basis and not on the pivots that
+    # led there.  The grid LP gives its points in ascending order.
     basis = np.asarray(basis)
-    unordered = columns(basis)
-    by_size = np.lexsort((basis, *np.abs(unordered)[::-1]))
     # One memory order for B, in which B x rounds the same for every caller.
-    matrix = np.ascontiguousarray(unordered[:, by_size])
+    matrix = np.ascontiguousarray(matrix[:, basis])
     try:
-        return basis[by_size], matrix, np.linalg.inv(matrix)
+        return basis, matrix, np.linalg.inv(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular final basis: {exc}") from exc
 
@@ -171,131 +168,129 @@ def _solution(factor: tuple, b: np.ndarray) -> np.ndarray:
     return x + inverse @ (b - matrix @ x)
 
 
-def _entering(v: np.ndarray, stall: int) -> int | None:
-    # The entering column of [G, -G] at reduced costs 1 - v and 1 + v, taken
-    # over their concatenation.  Dantzig's rule while the objective moves:
-    # the most negative reduced cost, the first on a tie, so +g before -g.
-    # After 30 degenerate steps in a row, Bland's rule against cycling: the
-    # first column whose reduced cost is below -_TOL.  None when none is.
+def _entering(v: np.ndarray, stall: int) -> tuple[int, float] | None:
+    # The entering grid point and its sign, at reduced costs 1 - v of +g and
+    # 1 + v of -g.  Dantzig's rule while the objective moves: the most
+    # negative reduced cost, the first on a tie, so +g before -g.  After 30
+    # degenerate steps in a row, Bland's rule against cycling: the first +g,
+    # else the first -g, whose reduced cost is below -_TOL.  None when none
+    # is.
     plus, minus = 1.0 - v, 1.0 + v
     if stall < 30:
         j, k = plus.argmin(), minus.argmin()
         if minus[k] < plus[j]:
-            return None if minus[k] >= -_TOL else int(k) + v.size
-        return None if plus[j] >= -_TOL else int(j)
-    for half, reduced in enumerate((plus, minus)):
+            return None if minus[k] >= -_TOL else (int(k), -1.0)
+        return None if plus[j] >= -_TOL else (int(j), 1.0)
+    for sign, reduced in ((1.0, plus), (-1.0, minus)):
         below = np.flatnonzero(reduced < -_TOL)
         if below.size:
-            return int(below[0]) + half * v.size
+            return int(below[0]), sign
     return None
 
 
 class _GridLP:
-    """The grid LP of one problem: min sum(x) subject to [G, -G] x = rhs,
-    x >= 0, with G[k-1, j] = g_k(u_j) of :mod:`slopedesign.basis` on the
-    unit grid u = x / a, and the basis the next solve starts from.  Only G
-    is stored, with its transpose GT, whose rows are the entering columns
-    of a pivot: column j >= m of the LP is the mirror -G[:, j - m].
+    """The grid LP of one problem: min sum(x) subject to
+    sum_j x_j v_j g(u_j) = rhs, x >= 0, over the signs v_j = +/-1 of
+    Elfving's representation, with G[k-1, j] = g_k(u_j) of
+    :mod:`slopedesign.basis` on the unit grid u = x / a, and the basis the
+    next solve starts from.  Only G is stored: the column of -g(u_j) is
+    -G[:, j].
 
-    ``factor`` is that basis, as _factor gives it: its columns in the order
-    of their grid points, their matrix B and B^-1; first the closed-form
-    support, which the grid holds exactly.  ``priced`` says whether pricing
-    found it optimal.  Only the right-hand side depends on the target, and
-    the costs never change, so every solve takes x = B^-1 rhs, refined
-    once, and swaps each basic column with x < 0 for its mirror, which
-    leaves the basis primal feasible.  The swap negates that column of B
-    and that row of B^-1, exactly what inverting the swapped basis gives,
-    and keeps the order, which sorts by magnitudes.  Reduced costs do not
-    depend on the right-hand side, and those of the global mirror, 1 - v
-    and 1 + v, only swap, so a priced basis that swapped no column or every
-    column is still optimal.  Any other basis restarts a revised primal
-    simplex there (Chvatal, Linear Programming, 1983, ch. 7-10): y = 1.B^-1
-    prices both halves with one product v = y.G, at reduced costs 1 - v and
-    1 + v, and each pivot takes B^-1 (+/-g_j) as the entering column and
-    updates B^-1 by rank one.  When the updated inverse prices out, the
-    basis it ends on is factored afresh and priced again from that factor,
-    so a drifted inverse cannot end the solve.
+    A basis is n grid points, each with a sign.  ``factor`` holds its
+    points in ascending order, the unsigned matrix B of their columns
+    g(u_j) and B^-1, as _factor gives them; ``signs`` holds their signs.
+    The first basis is the closed-form support, which the grid holds
+    exactly, with every sign +1.  ``priced`` says whether pricing found the
+    basis optimal.  Only the right-hand side depends on the target, and the
+    costs never change, so every solve takes x = B^-1 rhs, refined once,
+    flips the sign of each point whose signed value is negative and takes
+    |x|, which leaves the basis primal feasible.  A flip touches neither B
+    nor B^-1.  Reduced costs do not depend on the right-hand side, and
+    those of the global flip, 1 - v and 1 + v, only swap, so a priced basis
+    that flipped no sign or every sign is still optimal.  Any other basis
+    restarts a revised primal simplex there (Chvatal, Linear Programming,
+    1983, ch. 7-10) on the signed inverse diag(signs) B^-1, which is bit
+    for bit the inverse of the signed columns, since LU with partial
+    pivoting rounds alike in either sign: y = 1.B^-1 prices both signs with
+    one product v = y.G, at reduced costs 1 - v and 1 + v, and each pivot
+    takes B^-1 (+/-g_j) as the entering column and updates B^-1 by rank
+    one.  When the updated inverse prices out, the basis it ends on is
+    factored afresh and priced again from that factor, so a drifted inverse
+    cannot end the solve.
     """
 
     def __init__(self, problem: DesignProblem, grid: GridSpec):
         support = np.asarray(support_points(problem))
         self.points = np.unique(np.concatenate([grid.points(problem), support]))
         self.G = np.array(unit_basis.values(problem.n, self.points / problem.a))
-        self.GT = self.G.T.copy()
-        # The support's factor with its positions relabelled to grid
-        # indices, which keeps _factor's order: they rise as the positions.
-        order, *rest = _support_factor(problem)
-        self.factor = (np.searchsorted(self.points, support)[order], *rest)
+        # The support's factor with its positions relabelled to grid indices.
+        self.factor = (np.searchsorted(self.points, support),
+                       *_support_factor(problem)[1:])
+        self.signs = np.ones(problem.n)
         self.priced = False
 
-    def columns(self, index) -> np.ndarray:
-        """The LP columns at ``index``: g(u_j) for j < m, else -g(u_{j-m})."""
-        index = np.asarray(index)
-        m = self.points.size
-        rows = self.GT[index % m]
-        np.negative(rows, out=rows, where=(index >= m)[:, None])
-        return rows.T
-
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The optimal x over [G, -G]: the columns of the final basis, in
-        the order of their grid points, and their values, with every other
-        entry 0; at a degenerate optimum, only the positive columns.  x is
-        the kept inverse of the final basis times rhs, refined once."""
-        m = self.points.size
-        order, matrix, inverse = self.factor
-        x = _solution(self.factor, rhs)
-        swapped = x < 0
-        if swapped.any():
-            sign = np.where(swapped, -1.0, 1.0)
-            self.factor = (np.where(swapped, (order + m) % (2 * m), order),
-                           matrix * sign, sign[:, None] * inverse)
+        """The optimal x: the grid points of the final basis, in ascending
+        order, and their values, with every other entry 0; at a degenerate
+        optimum, only the positive ones.  x is the kept inverse of the
+        final basis times rhs, refined once."""
+        x = self.signs * _solution(self.factor, rhs)
+        flipped = x < 0
+        if flipped.any():
+            self.signs = np.where(flipped, -self.signs, self.signs)
             x = np.abs(x)
-        if not (self.priced and (swapped.all() or not swapped.any())):
+        if not (self.priced and (flipped.all() or not flipped.any())):
             x = self._restart(x, rhs)
         # The optimal bases of a degenerate optimum differ in columns at 0;
         # solving on the positive columns makes x the same for all of them.
-        order, matrix, _ = self.factor
+        points, matrix, _ = self.factor
         np.maximum(x, 0.0, out=x)
         positive = x > 1e-12 * x.sum()
         if positive.all():
-            return order, x
+            return points, x
         try:
-            return order[positive], np.linalg.lstsq(matrix[:, positive], rhs,
-                                                    rcond=None)[0]
+            return points[positive], np.linalg.lstsq(
+                matrix[:, positive] * self.signs[positive], rhs,
+                rcond=None)[0]
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"degenerate optimum: {exc}") from exc
 
     def _restart(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         # x on the optimal basis the primal simplex reaches from the kept
-        # factor, on which x is primal feasible; that basis is kept.
-        G, GT = self.G, self.GT
-        m = self.points.size
+        # factor, on which x is primal feasible; that basis is kept.  The
+        # pivots key each basic column (sign < 0, j), the order in which
+        # _entering's Bland rule takes the columns.
+        G = self.G
         stall = pivots = 0
         while True:
-            order, _, inverse = self.factor
-            col = _entering(inverse.sum(axis=0) @ G, stall)
-            if col is None:
+            points, _, inverse = self.factor
+            inverse = self.signs[:, None] * inverse
+            entering = _entering(inverse.sum(axis=0) @ G, stall)
+            if entering is None:
                 self.priced = True
                 return x
-            basis, inverse = order.tolist(), inverse.copy()
-            while col is not None:
+            basis = list(zip((self.signs < 0).tolist(), points.tolist()))
+            while entering is not None:
                 if pivots == _MAX_ITER:
                     raise NumericalFailure("simplex iteration cap exceeded")
                 pivots += 1
-                d = inverse @ GT[col % m]
-                if col >= m:
+                j, sign = entering
+                d = inverse @ G[:, j]
+                if sign < 0:
                     np.negative(d, out=d)
                 row, degenerate = _ratio_test(d, x, basis)
                 stall = stall + 1 if degenerate else 0
-                basis[row] = col
+                basis[row] = (sign < 0, j)
                 inverse[row] /= d[row]
                 x[row] /= d[row]
                 d[row] = 0.0
                 inverse -= d[:, None] * inverse[row]
                 x -= d * x[row]
-                col = _entering(inverse.sum(axis=0) @ G, stall)
-            self.factor = _factor(self.columns, basis)
-            x = _solution(self.factor, rhs)
+                entering = _entering(inverse.sum(axis=0) @ G, stall)
+            negative, points = zip(*sorted(basis, key=operator.itemgetter(1)))
+            self.factor = _factor(points, G)
+            self.signs = np.where(negative, -1.0, 1.0)
+            x = self.signs * _solution(self.factor, rhs)
 
 
 _grid_lp = lru_cache(maxsize=1)(_GridLP)  # (problem, grid) -> its LP
@@ -308,8 +303,7 @@ def _support_factor(problem: DesignProblem) -> tuple:
     # basis, and the matrix whose inverse gives the restricted route's beta.
     # Neither writes to its arrays.
     u = np.asarray(support_points(problem)) / problem.a
-    columns = np.array(unit_basis.values(problem.n, u))
-    return _factor(lambda index: columns[:, index], range(problem.n))
+    return _factor(range(problem.n), np.array(unit_basis.values(problem.n, u)))
 
 
 def lp_c_optimal(problem: DesignProblem, z: float,
@@ -321,14 +315,14 @@ def lp_c_optimal(problem: DesignProblem, z: float,
     points; the optimal variance over that support set is h^2.  The LP is
     posed in the unit basis of :mod:`slopedesign.basis`, whose entries are at
     most 1 whatever a is.  The LP of the last problem and grid is kept as
-    G alone, the mirror columns -G staying implicit, with one factor of the
-    basis its next solve starts from: first the closed-form support, then
-    the last optimal basis.  Each solve swaps the basic columns that went
-    negative for their mirrors; a priced basis of which it swapped none or
+    G alone, with one factor of the basis its next solve starts from, n
+    grid points and a sign for each: first the closed-form support, then
+    the last optimal basis.  Each solve flips the signs of the basic points
+    whose values went negative; a priced basis of which it flipped none or
     all is still optimal, and any other basis restarts a revised primal
     simplex there, priced from the kept inverse, with no phase 1.  The
-    solve gives the columns of x that are positive, each +g(u_j) or -g(u_j)
-    of one grid point, in the order of those points, and their values.  h
+    solve gives the grid points of x that are positive, each entering as
+    +g(u_j) or -g(u_j), in ascending order, and their values.  h
     is their sum, taken with math.fsum: it is correctly rounded, so h does
     not depend on the order of the values or on the zeros of the columns
     off the basis, and any solver that ends on the same x gives the same h
@@ -339,9 +333,9 @@ def lp_c_optimal(problem: DesignProblem, z: float,
         raise ValueError("grid must have at least n+1 points")
     rhs, factor = _unit_slope(problem, z)
     lp = _grid_lp(problem, grid)
-    columns, values = lp.solve(np.array(rhs))
+    points, values = lp.solve(np.array(rhs))
     total = math.fsum(values.tolist())
-    return total * factor, Design(lp.points[columns % lp.points.size].tolist(),
+    return total * factor, Design(lp.points[points].tolist(),
                                   (values / total).tolist())
 
 
@@ -362,9 +356,7 @@ def restricted_weights(problem: DesignProblem,
     The weights are in the order of the points.
     """
     rhs, factor = _unit_slope(problem, z)
-    order, _, inverse = _support_factor(problem)
-    # order[k] is the point of the k-th entry, so argsort puts them back.
-    beta = np.abs(inverse @ rhs)[np.argsort(order)].tolist()
+    beta = np.abs(_support_factor(problem)[2] @ rhs).tolist()
     total = math.fsum(beta)
     root = total * factor
     return root * root, tuple(v / total for v in beta)

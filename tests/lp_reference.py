@@ -6,7 +6,9 @@ basis, with no start taken from the problem, so the tests can compare the
 package's grid LP against an optimum it did not help to find.  The final
 basis is factored and solved exactly as the grid LP factors and solves its
 own, through the package's ``_factor`` and ``_solution``, so that on the
-same basis the two give the same x bit for bit.
+same basis the two give the same x bit for bit.  On the grid LP's matrix
+[G, -G], which the tests form for it, its order of the basic columns is
+the grid LP's: the signed columns in the order of their grid points.
 """
 
 from __future__ import annotations
@@ -117,9 +119,16 @@ def _phase2(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
     _simplex_loop(tableau, basis, k, max_iter, tol)
 
 
-def _basic_solution(columns, b: np.ndarray, basis: list[int],
+def _basic_solution(A: np.ndarray, b: np.ndarray, basis: list[int],
                     size: int) -> np.ndarray:
-    factor = _factor(columns, basis)
+    # The basic columns sorted by their magnitudes, lexicographically from
+    # the first row, then by index, so that a column and its negation take
+    # the same place.  On the grid LP's [G, -G] that is the order of the grid
+    # points, since the first row g_1(u) = u rises with u: the order in which
+    # the grid LP factors its own basis.
+    basis = np.asarray(basis)
+    by_size = np.lexsort((basis, *np.abs(A[:, basis])[::-1]))
+    factor = _factor(basis[by_size], A)
     x = np.zeros(size)
     x[factor[0]] = _solution(factor, b)
     np.maximum(x, 0.0, out=x)
@@ -139,6 +148,5 @@ def simplex_minimize(cost, A, b, max_iter: int = _MAX_ITER,
     b = np.asarray(b, dtype=float)
     cost = np.asarray(cost, dtype=float)
     basis, rows = _two_phase(cost, A, b, max_iter, tol)
-    x = _basic_solution(lambda order: A[np.ix_(rows, order)], b[rows], basis,
-                        A.shape[1])
+    x = _basic_solution(A[rows], b[rows], basis, A.shape[1])
     return x, float(cost @ x)

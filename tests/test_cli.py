@@ -704,7 +704,9 @@ class TestUsageErrors:
 
 
 class TestLargeDegree:
-    """Every n is accepted: no degree cap, one JSON document, exit 0 or 2."""
+    """Large degrees: one JSON document, exit 0 or 2, up to n = 542.  From
+    n = 543 design, check, oracle and plotdata --what weightderivs exit 64
+    naming n; region and plotdata --what extremal still answer."""
 
     # From n = 543 the unit denominators D_i underflow to 0 at every a, so
     # each command that reads the basis derivatives names n, and not a.

@@ -368,11 +368,13 @@ class TestAdmissibleRegion:
             else:
                 assert got[1] == want[1]
 
-    @pytest.mark.parametrize("n", [2, 4, 9, 21])
+    @pytest.mark.parametrize("n", [1, 2, 4, 9, 21])
     @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
     def test_membership_agrees_with_optimal_design(self, n, a):
         # u = 1 puts z = a on the grid: for n = 21, a = 1e-8 that is just
         # above the last interval's lower end, covered by optimal_design.
+        # At n = 1 the one interval is the whole line, and optimal_design
+        # takes the same path as at every other n.
         pr = DesignProblem(n, a)
         region = admissible_region(pr)
         for u in self._unit_targets(n):

@@ -69,12 +69,13 @@ class TestVectors:
                 assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (n, u)
 
     def test_arrays_match_floats(self):
+        # Only values takes an array: the grid LP's matrix.  slope is only
+        # ever asked for the one target.
         u = np.linspace(-0.5, 1.5, 7)
-        for fn in (basis.values, basis.slope):
-            rows = np.array(fn(6, u))
-            assert rows.shape == (6, u.size)
-            for j, uj in enumerate(u):
-                assert list(rows[:, j]) == fn(6, float(uj))
+        rows = np.array(basis.values(6, u))
+        assert rows.shape == (6, u.size)
+        for j, uj in enumerate(u):
+            assert list(rows[:, j]) == basis.values(6, float(uj))
 
     def test_bounded_on_unit_interval(self):
         # |g_k| <= 1 on [0, 1], so no column of a check grows with a.

@@ -303,6 +303,11 @@ def _targets(problem):
     return sorted(zs)
 
 
+def _signed(lp):
+    """The basis of a grid LP as (grid point, sign) pairs, ascending."""
+    return list(zip(lp.factor[0].tolist(), lp.signs.tolist()))
+
+
 class TestWarmStart:
     """Every target of the same problem and grid restarts from a basis: the
     first from the closed-form support, a later one from the last optimal
@@ -317,12 +322,11 @@ class TestWarmStart:
         warm = []
         for z in zs:
             h, d = lp_c_optimal(problem, z, grid)
-            warm.append((h, d,
-                         sorted(oracle._grid_lp(problem, grid).factor[0])))
+            warm.append((h, d, _signed(oracle._grid_lp(problem, grid))))
         for z, (h, d, basis) in zip(zs, warm):
             clear_caches()
             h_cold, d_cold = lp_c_optimal(problem, z, grid)
-            if sorted(oracle._grid_lp(problem, grid).factor[0]) == basis:
+            if _signed(oracle._grid_lp(problem, grid)) == basis:
                 assert (h, d) == (h_cold, d_cold)
             else:
                 assert h ** 2 == pytest.approx(h_cold ** 2, rel=1e-9)
@@ -410,17 +414,32 @@ class TestWarmStart:
         for z in (a, 0.5 * (lo + hi), a):
             compare(problem, z, grid)
         lp = oracle._grid_lp(problem, grid)
-        m = lp.points.size
         calls = self._count_lapack(monkeypatch)
-        start = lp.factor[0].tolist()
+        start = _signed(lp)
         report = compare(problem, 0.5 * (last + a), grid)
-        assert report.covered and lp.factor[0].tolist() == start
+        assert report.covered and _signed(lp) == start
         report = compare(problem, lo + 0.25 * (hi - lo), grid)
         assert report.covered
-        assert lp.factor[0].tolist() == [(j + m) % (2 * m) for j in start]
-        assert (compare(problem, a, grid).covered
-                and lp.factor[0].tolist() == start)
+        assert _signed(lp) == [(j, -sign) for j, sign in start]
+        assert compare(problem, a, grid).covered and _signed(lp) == start
         assert calls == []
+
+    @pytest.mark.parametrize("n", [2, 7, 12, 30])
+    def test_global_sign_flip_keeps_the_factor(self, n):
+        # Interval n - 1 takes the points of the last interval with every
+        # sign flipped.  The flip rewrites the signs alone: B and B^-1 stay
+        # the very arrays the last solve kept.
+        problem, grid = DesignProblem(n, 1.0), GridSpec()
+        lo, hi = admissible_region(problem).intervals[-2]
+        if math.isinf(lo):
+            lo = hi - 1.0
+        clear_caches()
+        lp_c_optimal(problem, 1.0, grid)
+        lp = oracle._grid_lp(problem, grid)
+        start, (_, matrix, inverse) = _signed(lp), lp.factor
+        lp_c_optimal(problem, 0.5 * (lo + hi), grid)
+        assert _signed(lp) == [(j, -sign) for j, sign in start]
+        assert lp.factor[1] is matrix and lp.factor[2] is inverse
 
     @pytest.mark.parametrize("a", [1e-8, 1.0, 1e8])
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 30])
@@ -543,8 +562,9 @@ class TestSupportCaches:
 
 def _two_phase_reference(lp, problem, z):
     """h from the two-phase simplex of the test reference, run from the
-    artificial basis on the matrix of ``lp`` and summed with math.fsum as
-    lp_c_optimal sums, and the sorted columns of its positive solution."""
+    artificial basis on [G, -G] of ``lp`` and summed with math.fsum as
+    lp_c_optimal sums, and the sorted columns of its positive solution:
+    j for +g(u_j) and m + j for -g(u_j) on a grid of m points."""
     rhs, factor = oracle._unit_slope(problem, z)
     matrix = np.hstack([lp.G, -lp.G])
     x, _ = simplex_minimize(np.ones(matrix.shape[1]), matrix, rhs)
@@ -567,7 +587,9 @@ class TestCrashStart:
                 h, _ = lp_c_optimal(problem, z, grid)
                 lp = oracle._grid_lp(problem, grid)
                 h_ref, columns = _two_phase_reference(lp, problem, z)
-                if sorted(lp.factor[0]) == columns:
+                m = lp.points.size
+                if sorted(j + m * (sign < 0)
+                          for j, sign in _signed(lp)) == columns:
                     assert h == h_ref, (n, a, z)
                 else:
                     assert h ** 2 == pytest.approx(h_ref ** 2, rel=1e-9)
@@ -581,54 +603,53 @@ class TestCrashStart:
                 clear_caches()
                 h, _ = lp_c_optimal(problem, z, grid)
                 lp = oracle._grid_lp(problem, grid)
-                best = sorted(lp.factor[0])
+                best = _signed(lp)
                 # n nonzero grid points off the support, spread over the
-                # grid, every second one entering as its mirror -g(u).
-                half = lp.points.size
+                # grid, every second one with the sign -1.
                 support = np.searchsorted(lp.points, support_points(problem))
-                off = np.setdiff1d(np.arange(1, half), support)
+                off = np.setdiff1d(np.arange(1, lp.points.size), support)
                 start = off[np.linspace(0, off.size - 1, n).astype(int)]
-                lp.factor = oracle._factor(
-                    lp.columns,
-                    [int(j) + half * (i % 2) for i, j in enumerate(start)])
+                lp.factor = oracle._factor(start, lp.G)
+                lp.signs = np.where(np.arange(n) % 2, -1.0, 1.0)
                 lp.priced = False
                 h_wrong, _ = lp_c_optimal(problem, z, grid)
-                if sorted(lp.factor[0]) == best:
+                if _signed(lp) == best:
                     assert h_wrong == h, (n, a, z)
                 else:
                     assert h_wrong ** 2 == pytest.approx(h ** 2, rel=1e-9)
 
     def test_start_priced_out_only_by_mirror_columns(self):
         # From u = 1/200 and u = 1 the slope at z = a needs weight on -g(u)
-        # at u = 1/200; after the mirror swap every +g column prices at
-        # y.g(u) <= 1 and only mirror columns have y.g(u) < -1.
+        # at u = 1/200; with that sign every +g column prices at
+        # y.g(u) <= 1 and only -g columns have y.g(u) < -1.
         problem, grid = DesignProblem(2, 1.0), GridSpec(201)
         clear_caches()
         h, _ = lp_c_optimal(problem, 1.0, grid)
         lp = oracle._grid_lp(problem, grid)
-        start = [lp.points.size + 1, lp.points.size - 1]
+        points, signs = [1, lp.points.size - 1], np.array([-1.0, 1.0])
         rhs, _ = oracle._unit_slope(problem, 1.0)
-        matrix = np.hstack([lp.G, -lp.G])
-        assert (np.linalg.solve(matrix[:, start], rhs) > 0).all()
-        y = np.linalg.solve(matrix[:, start].T, np.ones(2))
-        prices = y @ matrix[:, :lp.points.size]
+        basic = lp.G[:, points] * signs
+        assert (np.linalg.solve(basic, rhs) > 0).all()
+        y = np.linalg.solve(basic.T, np.ones(2))
+        prices = y @ lp.G
         assert prices.max() <= 1.0 + 1e-12 and prices.min() < -1.0
-        lp.factor = oracle._factor(lp.columns, start)
+        lp.factor = oracle._factor(points, lp.G)
+        lp.signs = signs
         lp.priced = False
         assert lp_c_optimal(problem, 1.0, grid)[0] == pytest.approx(h,
                                                                    rel=1e-12)
 
 
 class TestRevisedRestart:
-    """The grid LP keeps only G; the restart prices both mirror halves with
-    one y.G product and updates B^-1 by rank one per pivot."""
+    """The grid LP keeps only G; the restart prices both signs with one y.G
+    product and updates B^-1 by rank one per pivot."""
 
     SCALES = (1e-8, 1.0, 1e8)
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_returned_basis_prices_out(self, n):
-        # Priced from a fresh solve on [G, -G] built here, every returned
-        # basis is optimal: |y.g(u)| <= 1 on every grid point.
+        # Priced from a fresh solve on the signed basic columns, every
+        # returned basis is optimal: |y.g(u)| <= 1 on every grid point.
         grid = GridSpec(201)
         for a in self.SCALES:
             problem = DesignProblem(n, a)
@@ -636,7 +657,7 @@ class TestRevisedRestart:
             for z in _targets(problem):
                 lp_c_optimal(problem, z, grid)
                 lp = oracle._grid_lp(problem, grid)
-                basic = np.hstack([lp.G, -lp.G])[:, lp.factor[0]]
+                basic = lp.G[:, lp.factor[0]] * lp.signs
                 y = np.linalg.solve(basic.T, np.ones(n))
                 assert np.abs(y @ lp.G).max() <= 1.0 + 1e-9, (n, a, z)
 
@@ -663,9 +684,10 @@ class TestRevisedRestart:
         assert peak < n * lp.points.size * 8
 
     def test_sign_flip_of_columns_negates_rows_of_the_inverse(self):
-        # The mirror swap negates columns of B and rows of B^-1 in place of
-        # inverting again; that is what inv gives bit for bit, on random
-        # matrices and on unit-basis matrices of grid points.
+        # The restart prices on the signed inverse diag(signs) B^-1 in place
+        # of inverting the signed columns B diag(signs); that is what inv
+        # gives bit for bit, on random matrices and on unit-basis matrices
+        # of grid points.
         rng = np.random.default_rng(20)
         for n in range(1, 41):
             for k in range(6):
